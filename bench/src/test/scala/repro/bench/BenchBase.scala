@@ -9,7 +9,8 @@ trait BenchBase extends AnyFunSuite {
   def record(name: String, title: String, table: String): Unit = {
     val text = s"$title\n$table\n"
     println(s"\n===== $name =====\n$text")
-    val dir = new java.io.File("bench/results")
+    // The forked test JVM runs in bench/, so this is bench/results.
+    val dir = new java.io.File("results")
     dir.mkdirs()
     val f = new java.io.FileWriter(new java.io.File(dir, s"$name.txt"))
     try f.write(text) finally f.close()

@@ -58,6 +58,11 @@ final case class PullExtend(input: Op, ext: Vector[Int], target: Int,
     s"extend pivots $ext must be matched in ${input.matched}")
   require(verify == input.matched.contains(target),
     s"verify=$verify inconsistent with target $target vs ${input.matched}")
+  // The engine turns a non-verify extend's conditions into a window on the
+  // new vertex, so each must mention the target (Dataflow.fromPlan assigns
+  // a condition to the first operator binding both ends, which guarantees it).
+  require(verify || conds.forall { case (a, b) => a == target || b == target },
+    s"conditions $conds of a non-verify extend must each mention target $target")
 
   val matched: Vector[Int] = if (verify) input.matched else input.matched :+ target
   val covered: Set[(Int, Int)] =

@@ -1,9 +1,8 @@
 package repro.engine
 
 import java.util.concurrent.CyclicBarrier
+import java.util.concurrent.atomic.AtomicIntegerArray
 import repro.core._
-import repro.graph.Intersect
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Engine configuration — one per "system" (HUGE and every baseline run on
@@ -217,14 +216,15 @@ object Engine {
   */
 final class StageBoard(val stage: Stage, k: Int) {
   private val runners = new Array[MachineRunner](k)
-  val idle            = Array.fill(k)(false)
+  // Written by each machine's thread, read by all of them.
+  private val idle    = new AtomicIntegerArray(k)
   def register(m: Int, r: MachineRunner): Unit = runners(m) = r
   def apply(m: Int): MachineRunner = runners(m)
-  def allDone: Boolean = this.synchronized {
+  def setIdle(m: Int, isIdle: Boolean): Unit = idle.set(m, if (isIdle) 1 else 0)
+  def allDone: Boolean =
     (0 until k).forall { m =>
-      idle(m) && runners(m) != null && runners(m).ownWorkExhausted
+      idle.get(m) == 1 && runners(m) != null && runners(m).ownWorkExhausted
     }
-  }
 }
 
 /** One machine's execution of one stage: the Algorithm-5 scheduler walk,
@@ -238,8 +238,18 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
   var deadlineNanos: Long = Long.MaxValue
 
   private val e = stage.exts.length
-  val queues: Array[BatchQueue] =
-    Array.fill(e)(new BatchQueue(cfg.queueCapacityRows, m, metrics))
+  val queues: Array[BatchQueue] = stage.exts.map { ex =>
+    new BatchQueue(cfg.queueCapacityRows, ex.input.matched.length, m, metrics)
+  }.toArray
+
+  // Per-extend kernel state; the last extend of a counting stage only counts.
+  private val kernels: Array[Kernels.ExtendKernel] = stage.exts.zipWithIndex.map { case (ex, i) =>
+    new Kernels.ExtendKernel(ex, countOnly = i == e - 1 && stage.sink == CountSink)
+  }.toArray
+  private val scratch: Array[Kernels.Scratch] = {
+    val maxPivots = (stage.exts.map(_.ext.length) :+ 1).max
+    Array.fill(cfg.workersPerMachine)(new Kernels.Scratch(maxPivots))
+  }
 
   // ---- source state -------------------------------------------------------
   private var sourceDone = false
@@ -268,12 +278,12 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       if (!worked) {
         val stole = cfg.interStealing && trySteal()
         if (!stole) {
-          board.idle(m) = true
+          board.setIdle(m, true)
           if (board.allDone) return
           spins += 1
           Thread.sleep(0, 200_000)
-          board.idle(m) = false
-        } else board.idle(m) = false
+          board.setIdle(m, false)
+        } else board.setIdle(m, false)
       }
     }
   }
@@ -317,7 +327,7 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       val batch = queues(qi).tryDequeue()
       if (batch != null) {
         worked = true
-        processExtendBatch(stage.exts(qi), batch, out => emit(out, qi))
+        processExtendBatch(qi, batch, out => emit(out, qi))
       }
     }
     worked
@@ -326,7 +336,7 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
   private def emit(rows: ArrayBuffer[Array[Int]], fromExt: Int): Unit = {
     if (fromExt + 1 < e) {
       rows.grouped(cfg.batchSize).foreach(g => queues(fromExt + 1).enqueue(g.toArray))
-    } else sinkRows(rows)
+    } else if (!kernels(fromExt).countOnly) sinkRows(rows)
   }
 
   private def sinkRows(rows: collection.Seq[Array[Int]]): Unit = stage.sink match {
@@ -390,11 +400,13 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     * the smallest pivot degree — an upper bound on the intersection size)
     * stays bounded: one 20k-degree hub row can otherwise blow a 4096-row
     * batch up to 10^8 output rows in a single burst, stalling the window
-    * and overflowing memory far beyond the queue bound.
+    * and overflowing memory far beyond the queue bound. A counting extend
+    * emits empty chunks.
     */
-  def processExtendBatch(ex: PullExtend, batch: Array[Array[Int]],
+  def processExtendBatch(qi: Int, batch: Array[Array[Int]],
                          emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
-    val pivotCols = ex.ext.map(ex.input.col).toArray
+    val kernel    = kernels(qi)
+    val pivotCols = kernel.pivotCols
     val maxExpansion = math.max(cfg.batchSize.toLong * 8, 32768L)
     var start = 0
     var acc   = 0L
@@ -412,16 +424,16 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       if (acc >= maxExpansion || i == batch.length) {
         val sub = if (start == 0 && i == batch.length) batch
                   else java.util.Arrays.copyOfRange(batch, start, i)
-        emit(processExtendSub(ex, pivotCols, sub))
+        emit(processExtendSub(kernel, sub))
         start = i
         acc = 0L
       }
     }
   }
 
-  private def processExtendSub(ex: PullExtend, pivotCols: Array[Int],
+  private def processExtendSub(kernel: Kernels.ExtendKernel,
                                batch: Array[Array[Int]]): ArrayBuffer[Array[Int]] = {
-
+    val pivotCols = kernel.pivotCols
     if (cfg.pushExtends) {
       // BiGJoin-native: each partial result travels to the owner of every
       // extension pivot in turn; the intersection itself is then local.
@@ -437,7 +449,7 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
         }
         b += 1
       }
-      return intersectStage(ex, pivotCols, batch, v => pg.serveNbrs(v))
+      return intersectStage(kernel, batch, v => pg.serveNbrs(v))
     }
 
     if (cache.twoStage) {
@@ -455,41 +467,53 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
         }
         b += 1
       }
-      val fetch = new ArrayBuffer[Int]()
-      remote.foreach { v =>
-        if (cache.contains(v)) { cache.seal(v); cache.hits.incrementAndGet() }
-        else fetch += v
+      // Seal the cached vertices; compact the misses to the front.
+      val fetch  = remote.toArray
+      var misses = 0
+      var i      = 0
+      while (i < fetch.length) {
+        val v = fetch(i)
+        if (cache.contains(v)) cache.seal(v)
+        else { fetch(misses) = v; misses += 1 }
+        i += 1
       }
-      cache.misses.addAndGet(fetch.length)
-      if (fetch.nonEmpty) {
+      cache.hits.addAndGet(fetch.length - misses)
+      cache.misses.addAndGet(misses)
+      if (misses > 0) {
         if (cfg.externalStore) {
           // One store access per vertex; the store round-trip latency is
           // client-side overhead and is accounted as compute (kvAccesses),
           // not as network RPC time — the paper's observation that BENU's
           // store overhead inflates T_R, not T_C.
-          metrics.kvAccesses.addAndGet(fetch.length)
+          metrics.kvAccesses.addAndGet(misses)
         } else {
           // Bulk GetNbrs: one RPC per distinct owner machine per batch.
-          metrics.rpcs.addAndGet(fetch.iterator.map(pg.owner).toSet.size)
+          val owners = new Array[Boolean](cfg.machines)
+          i = 0
+          while (i < misses) { owners(pg.owner(fetch(i))) = true; i += 1 }
+          metrics.rpcs.addAndGet(owners.count(identity))
         }
-        for (v <- fetch) {
+        i = 0
+        while (i < misses) {
+          val v  = fetch(i)
           val ns = pg.serveNbrs(v)
           metrics.bytesPulled.addAndGet(4L + 4L * ns.length)
           cache.insert(v, ns)
           cache.seal(v) // every vertex used by this batch stays resident
+          i += 1
         }
       }
       metrics.fetchNanos.addAndGet(System.nanoTime() - tf)
 
       // ---- intersect stage (workers, lock-free reads) ----
-      val out = intersectStage(ex, pivotCols, batch, { v =>
+      val out = intersectStage(kernel, batch, { v =>
         if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m) else cache.get(v)
       })
       cache.release()
       out
     } else {
       // Per-access mode (Cncr-LRU / BENU): fetch inside the intersection.
-      intersectStage(ex, pivotCols, batch, { v =>
+      intersectStage(kernel, batch, { v =>
         if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m)
         else {
           var ns = cache.get(v)
@@ -508,69 +532,28 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     }
   }
 
-  // Precomputed per-operator column indices: the intersect loop must never
-  // do Vector.indexOf per row (profiled hotspot).
-  private val extCondCols  = new java.util.IdentityHashMap[PullExtend, Array[Array[Int]]]()
-  private val extTargetCol = new java.util.IdentityHashMap[PullExtend, Integer]()
-  private def condColsOf(ex: PullExtend): Array[Array[Int]] = {
-    var cc = extCondCols.get(ex)
-    if (cc == null) { cc = Kernels.condCols(ex); extCondCols.put(ex, cc) }
-    cc
-  }
-  private def targetColOf(ex: PullExtend): Int = {
-    var tc = extTargetCol.get(ex)
-    if (tc == null) { tc = Integer.valueOf(ex.input.col(ex.target)); extTargetCol.put(ex, tc) }
-    tc.intValue()
-  }
-
-  private def intersectStage(ex: PullExtend, pivotCols: Array[Int],
-                             batch: Array[Array[Int]],
-                             nbrsOf: Int => Array[Int]): ArrayBuffer[Array[Int]] = {
-    val cc = condColsOf(ex)
-    val targetCol = if (ex.verify) targetColOf(ex) else -1
-    pool.run(scala.collection.immutable.ArraySeq.unsafeWrapArray(batch), cfg.chunkSize,
-             () => isAborted() || System.nanoTime() > deadlineNanos) { (row, out) =>
-      var smallest: Array[Int] = null
-      val lists = new Array[Array[Int]](pivotCols.length)
-      var i = 0
-      var empty = false
-      while (i < pivotCols.length && !empty) {
-        val ns = nbrsOf(row(pivotCols(i)))
-        if (ns == null || ns.isEmpty) empty = true
-        else {
-          lists(i) = ns
-          if (smallest == null || ns.length < smallest.length) smallest = ns
-        }
+  /** Run the extend kernel over the batch on the worker pool. Each worker
+    * keeps its own output buffer and scratch; a counting kernel adds each
+    * chunk's survivors to the result count instead of building rows.
+    */
+  private def intersectStage(kernel: Kernels.ExtendKernel, batch: Array[Array[Int]],
+                             nbrs: Kernels.NbrSource): ArrayBuffer[Array[Int]] = {
+    val outs = Array.fill(cfg.workersPerMachine)(new ArrayBuffer[Array[Int]]())
+    pool.run(batch.length, cfg.chunkSize) { (w, from, until) =>
+      val s   = scratch(w)
+      val out = outs(w)
+      var n   = 0L
+      var i   = from
+      while (i < until && !isAborted() && System.nanoTime() <= deadlineNanos) {
+        n += kernel(batch(i), nbrs, s, out)
         i += 1
       }
-      if (!empty) {
-        var cands = smallest
-        i = 0
-        while (i < lists.length && cands.nonEmpty) {
-          if (lists(i) ne smallest) cands = Intersect.sorted(cands, lists(i))
-          i += 1
-        }
-        if (ex.verify) {
-          val t = row(targetCol)
-          if (java.util.Arrays.binarySearch(cands, t) >= 0 && Kernels.condsOkFast(cc, row))
-            out += row
-        } else {
-          var ci = 0
-          while (ci < cands.length) {
-            val v = cands(ci)
-            var distinct = true
-            var p = 0
-            while (distinct && p < row.length) { if (row(p) == v) distinct = false; p += 1 }
-            if (distinct) {
-              val nr = java.util.Arrays.copyOf(row, row.length + 1)
-              nr(row.length) = v
-              if (Kernels.condsOkFast(cc, nr)) out += nr
-            }
-            ci += 1
-          }
-        }
-      }
+      if (kernel.countOnly) metrics.results.addAndGet(n)
     }
+    if (kernel.countOnly) return ArrayBuffer.empty
+    val total = new ArrayBuffer[Array[Int]](outs.iterator.map(_.length).sum)
+    outs.foreach(total ++= _)
+    total
   }
 
   // ---- inter-machine StealWork (§5.3) --------------------------------------
@@ -587,7 +570,7 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
           if (batch != null) {
             metrics.stealsInter.incrementAndGet()
             metrics.rpcs.incrementAndGet() // the StealWork RPC
-            metrics.stolenBytes.addAndGet(Kernels.batchBytes(batch))
+            metrics.stolenBytes.addAndGet(Kernels.batchBytes(batch, victim.queues(qi).rowWidth))
             pipelineFrom(qi, batch)
             return true
           }
@@ -603,9 +586,9 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     */
   def pipelineFrom(qi: Int, batch: Array[Array[Int]]): Unit = {
     if (isAborted()) return
-    processExtendBatch(stage.exts(qi), batch, { out =>
+    processExtendBatch(qi, batch, { out =>
       if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => pipelineFrom(qi + 1, g.toArray))
-      else sinkRows(out)
+      else if (!kernels(qi).countOnly) sinkRows(out)
     })
   }
 }

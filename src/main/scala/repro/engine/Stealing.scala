@@ -1,7 +1,6 @@
 package repro.engine
 
 import java.util.concurrent.{CountDownLatch, Executors, ThreadFactory}
-import scala.collection.mutable.ArrayBuffer
 
 /** Per-machine worker pool implementing intra-machine work stealing (§5.3).
   *
@@ -23,33 +22,26 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
     }
   })
 
-  /** Process `rows` in parallel: `process(row, out)` appends result rows to
-    * the worker-local buffer `out`. Returns all output rows. The caller
-    * thread blocks until every chunk is done (the stage barrier of §4.2).
+  /** Process the row indices `0 until n` in parallel: `task(w, from, until)`
+    * runs the chunk `from until until` on worker `w` (`0 until nWorkers`;
+    * a worker runs one chunk at a time, so per-worker state indexed by `w`
+    * needs no lock). The caller thread blocks until every chunk is done (the
+    * stage barrier of §4.2). Batches of at most one chunk, and single-worker
+    * pools, run on the caller thread as worker 0.
     */
-  def run(rows: IndexedSeq[Array[Int]], chunkSize: Int,
-          cancelled: () => Boolean = () => false)
-         (process: (Array[Int], ArrayBuffer[Array[Int]]) => Unit): ArrayBuffer[Array[Int]] = {
-    if (rows.isEmpty) return ArrayBuffer.empty
-    if (nWorkers == 1 || rows.length <= chunkSize) {
-      val out = new ArrayBuffer[Array[Int]]()
-      var i = 0
-      while (i < rows.length && !cancelled()) { process(rows(i), out); i += 1 }
-      return out
-    }
-    val deques = Array.fill(nWorkers)(new java.util.ArrayDeque[Seq[Int]]())
-    val chunks = rows.indices.grouped(chunkSize).toVector
-    for ((c, i) <- chunks.zipWithIndex)
-      deques(i % nWorkers).addLast(c)
-    val outs  = Array.fill(nWorkers)(new ArrayBuffer[Array[Int]]())
+  def run(n: Int, chunkSize: Int)(task: (Int, Int, Int) => Unit): Unit = {
+    if (n == 0) return
+    if (nWorkers == 1 || n <= chunkSize) { task(0, 0, n); return }
+    val deques = Array.fill(nWorkers)(new java.util.ArrayDeque[Integer]())
+    val chunks = (n + chunkSize - 1) / chunkSize
+    for (c <- 0 until chunks) deques(c % nWorkers).addLast(c)
     val latch = new CountDownLatch(nWorkers)
     for (w <- 0 until nWorkers) exec.execute { () =>
       val rng = java.util.concurrent.ThreadLocalRandom.current()
       try {
-        var chunk: Seq[Int] = null
         var done = false
         while (!done) {
-          chunk = deques(w).synchronized(deques(w).pollLast())
+          val chunk = deques(w).synchronized(deques(w).pollLast())
           if (chunk == null) {
             // Steal half of a random victim's remaining chunks from the front.
             val victim = rng.nextInt(nWorkers)
@@ -63,18 +55,14 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
                 deques(w).synchronized(stolen.foreach(deques(w).addLast))
               } else if (deques.forall(d => d.synchronized(d.isEmpty))) done = true
             } else if (deques.forall(d => d.synchronized(d.isEmpty))) done = true
-          } else if (!cancelled()) {
-            val out = outs(w)
-            val it  = chunk.iterator
-            while (it.hasNext && !cancelled()) process(rows(it.next()), out)
-          } else done = true
+          } else {
+            val from = chunk.intValue * chunkSize
+            task(w, from, math.min(n, from + chunkSize))
+          }
         }
       } finally latch.countDown()
     }
     latch.await()
-    val total = new ArrayBuffer[Array[Int]](outs.iterator.map(_.length).sum)
-    outs.foreach(total ++= _)
-    total
   }
 
   def shutdown(): Unit = exec.shutdownNow()
@@ -84,7 +72,7 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
   * drives the DFS/BFS-adaptive scheduler (§5.2). Thread-safe because
   * inter-machine thieves dequeue from remote machines' queues.
   */
-final class BatchQueue(capacityRows0: Long, machine: Int, metrics: Metrics) {
+final class BatchQueue(capacityRows0: Long, val rowWidth: Int, machine: Int, metrics: Metrics) {
   /** Capacity 1 row = DFS-style scheduling (one batch in flight); the
     * queue still accepts the overflow of the producing batch (§5.2).
     */
@@ -92,15 +80,18 @@ final class BatchQueue(capacityRows0: Long, machine: Int, metrics: Metrics) {
   private val q = new java.util.ArrayDeque[Array[Array[Int]]]()
   private var rowCount: Long = 0L
 
-  def enqueue(batch: Array[Array[Int]]): Unit = if (batch.nonEmpty) this.synchronized {
-    q.addLast(batch)
-    rowCount += batch.length
-    metrics.memAdd(machine, Kernels.batchBytes(batch))
+  def enqueue(batch: Array[Array[Int]]): Unit = if (batch.nonEmpty) {
+    require(batch(0).length == rowWidth, s"row width ${batch(0).length}, queue holds $rowWidth")
+    this.synchronized {
+      q.addLast(batch)
+      rowCount += batch.length
+      metrics.memAdd(machine, Kernels.batchBytes(batch, rowWidth))
+    }
   }
 
   def tryDequeue(): Array[Array[Int]] = this.synchronized {
     val b = q.pollFirst()
-    if (b != null) { rowCount -= b.length; metrics.memAdd(machine, -Kernels.batchBytes(b)) }
+    if (b != null) { rowCount -= b.length; metrics.memAdd(machine, -Kernels.batchBytes(b, rowWidth)) }
     b
   }
 

@@ -82,6 +82,16 @@ class DataflowSpec extends AnyFunSuite {
     }
   }
 
+  test("a non-verify PullExtend rejects a condition that does not mention its target") {
+    val e1 = PullExtend(ScanEdge(0, 1, Vector.empty), Vector(1), 2, verify = false, Vector.empty)
+    intercept[IllegalArgumentException] {
+      PullExtend(e1, Vector(2), 3, verify = false, Vector((0, 1)))
+    }
+    // Conditions on the target are the window; a verify extend may check any pair.
+    assert(PullExtend(e1, Vector(2), 3, verify = false, Vector((0, 3), (3, 1))).conds.size == 2)
+    assert(PullExtend(e1, Vector(2), 0, verify = true, Vector((0, 1))).conds.size == 1)
+  }
+
   test("PushJoin key and column layout") {
     val l = PullExtend(ScanEdge(0, 1, Vector.empty), Vector(1), 2, verify = false, Vector.empty)
     val r = ScanEdge(2, 3, Vector.empty)

@@ -1,6 +1,7 @@
 package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 
 class CachesSpec extends AnyFunSuite {
   private def nb(x: Int) = Array(x)
@@ -93,5 +94,74 @@ class CachesSpec extends AnyFunSuite {
     threads.foreach(_.start()); threads.foreach(_.join())
     c.release()
     assert(c.size == 64)
+  }
+
+  /** Algorithm 3 over plain collections: the reference the slot-array LRBU
+    * is compared with.
+    */
+  private final class Alg3Model(capacity: Int) {
+    val map     = mutable.Map.empty[Int, Array[Int]]
+    val free    = mutable.ArrayBuffer.empty[Int] // S_free in order Ord (head = smallest)
+    val sealedQ = mutable.ArrayBuffer.empty[Int] // S_sealed in sealing order
+
+    /** Returns the evicted vertex, if any. */
+    def insert(v: Int, nbrs: Array[Int]): Option[Int] = {
+      val victim = if (map.size >= capacity && free.nonEmpty) Some(free.remove(0)) else None
+      victim.foreach(map.remove)
+      map(v) = nbrs
+      free += v
+      victim
+    }
+    def seal(v: Int): Unit = if (free.contains(v)) { free -= v; sealedQ += v }
+    def release(): Unit = { free ++= sealedQ; sealedQ.clear() }
+  }
+
+  test("LRBU matches a reference model of Algorithm 3 under colliding keys") {
+    // Ids whose hashes share their top 12 bits collide in every index table
+    // of up to 4096 positions, so probe runs, backward-shift deletion and
+    // growth are all exercised; a few random ids fill in between.
+    val top       = LrbuCache.hash(0) >>> 20
+    val colliding = Iterator.from(1).filter(v => (LrbuCache.hash(v) >>> 20) == top).take(24).toVector
+    val rng       = new scala.util.Random(5)
+    val universe  = (0 +: colliding) ++ Vector.fill(12)(1000000 + rng.nextInt(1000000))
+    for (capacity <- Seq(1, 2, 5, 12); (copy, lock) <- Seq((false, false), (true, false), (true, true))) {
+      val c     = new LrbuCache(capacity, copyOnGet = copy, locked = lock)
+      val model = new Alg3Model(capacity)
+      def same(step: Int, what: String): Unit = {
+        assert(c.size == model.map.size, s"cap=$capacity step $step ($what): size")
+        for (v <- universe) {
+          val got = c.get(v)
+          val exp = model.map.getOrElse(v, null)
+          assert(c.contains(v) == (exp != null), s"cap=$capacity step $step ($what): contains $v")
+          if (exp != null)
+            assert(if (copy) (got ne exp) && got.sameElements(exp) else got eq exp,
+              s"cap=$capacity step $step ($what): value of $v")
+          else assert(got == null)
+        }
+      }
+      for (step <- 0 until 3000) {
+        val op = rng.nextInt(10)
+        if (op < 5) {
+          val absent = universe.filterNot(model.map.contains)
+          if (absent.nonEmpty) {
+            val v      = absent(rng.nextInt(absent.size))
+            val before = universe.filter(c.contains).toSet
+            val nbrs   = Array(v, step)
+            val victim = model.insert(v, nbrs)
+            c.insert(v, nbrs)
+            val evicted = before -- universe.filter(c.contains)
+            assert(evicted == victim.toSet, s"cap=$capacity step $step: eviction victim")
+            same(step, s"insert $v")
+          }
+        } else if (op < 8) {
+          val v = universe(rng.nextInt(universe.size))
+          model.seal(v); c.seal(v)
+          same(step, s"seal $v")
+        } else {
+          model.release(); c.release()
+          same(step, "release")
+        }
+      }
+    }
   }
 }

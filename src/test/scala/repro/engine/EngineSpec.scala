@@ -36,6 +36,23 @@ class EngineSpec extends AnyFunSuite {
       assert(hugeRun(q, TestGraphs.pl, base(1)).results.get == expected(q, TestGraphs.pl))
     }
 
+  // --- count-fused sink -----------------------------------------------------
+  // The last extend of a counting stage counts survivors without building
+  // rows, on queued and on stolen batches alike: DFS queues keep batches
+  // small, so machines run dry often and steal.
+  for ((qn, q) <- Queries.all; (gn, g) <- Seq("pl" -> TestGraphs.pl, "road" -> TestGraphs.road);
+       k <- Seq(1, 2, 3))
+    test(s"count-fused sink is exact: $qn on $gn, k=$k, DFS queues, stealing on") {
+      val cfg = base(k).copy(queueCapacityRows = 1, interStealing = true)
+      assert(hugeRun(q, g, cfg).results.get == expected(q, g))
+    }
+
+  test("q3's HUGE dataflow ends in a verify extend feeding the count sink") {
+    val op = Dataflow.fromPlan(Optimiser.optimise(Queries.q3, cost, OptimiserConfig.huge(3)),
+                               Queries.q3, Queries.q3.symmetryConditions)
+    assert(op.isInstanceOf[PullExtend] && op.asInstanceOf[PullExtend].verify, op)
+  }
+
   // --- plugged baseline plans ----------------------------------------------
   val pluggedPlans: Seq[(String, QueryGraph => PlanNode)] = Seq(
     "SEED"     -> ((q: QueryGraph) => LogicalPlans.seed(q, cost, 3)),
