@@ -1,7 +1,7 @@
 package repro.engine
 
 import java.util.concurrent.CyclicBarrier
-import java.util.concurrent.atomic.AtomicIntegerArray
+import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicReference}
 import repro.core._
 import scala.collection.mutable.ArrayBuffer
 
@@ -48,75 +48,29 @@ final case class Stage(source: ChainSource, exts: Vector[PullExtend], sink: Chai
 
 /** Shared state of one PUSH-JOIN: per-machine, per-side spill buffers. */
 final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
-  val leftKeyCols: Array[Int]  = op.key.map(op.left.col).toArray
-  val rightKeyCols: Array[Int] = op.key.map(op.right.col).toArray
+  val keyCols: Array[Array[Int]] = Array(op.key.map(op.left.col).toArray, op.key.map(op.right.col).toArray)
+  val widths: Array[Int] = Array(op.left.matched.length, op.right.matched.length)
   val buffers: Array[Array[JoinSideBuffer]] = Array.tabulate(cfg.machines, 2) { (m, side) =>
-    val width = if (side == 0) op.left.matched.length else op.right.matched.length
-    val keys  = if (side == 0) leftKeyCols else rightKeyCols
-    new JoinSideBuffer(width, keys, cfg.spillThresholdRows, m, metrics)
+    new JoinSideBuffer(widths(side), keyCols(side), cfg.spillThresholdRows, m, metrics)
   }
 
   /** Machine owning a row's join-key bucket. */
   def route(row: Array[Int], side: Int): Int = {
-    val cols = if (side == 0) leftKeyCols else rightKeyCols
+    val cols = keyCols(side)
     var h = 17
     var i = 0
     while (i < cols.length) { h = h * 31 + row(cols(i)) * 0x9E3779B9; i += 1 }
-    val m = (h >>> 8) % cfg.machines
-    m
+    (h >>> 8) % cfg.machines
   }
 
-  /** Key-aligned merge join over this machine's buckets. Fully streaming:
-    * key groups are loaded (bounded by the largest group) but the
-    * cross-product of a group is emitted row-by-row, never materialised.
+  /** Key-aligned merge join over machine m's buckets, with a pair kernel
+    * per worker.
     */
-  def resultIterator(m: Int): Iterator[Array[Int]] = {
-    val li = buffers(m)(0).sortedIterator().buffered
-    val ri = buffers(m)(1).sortedIterator().buffered
-    new Iterator[Array[Int]] {
-      private val pairs = new Kernels.PairJoin(op)
-      private var lg = new ArrayBuffer[Array[Int]]()
-      private var rg = new ArrayBuffer[Array[Int]]()
-      private var i = 0; private var j = 0
-      private var nextRow: Array[Int] = advance()
+  def mergeJoin(m: Int): MergeJoin =
+    new MergeJoin(Array.fill(cfg.workersPerMachine)(new Kernels.PairJoin(op)),
+                  buffers(m)(0).merged(), keyCols(0), buffers(m)(1).merged(), keyCols(1))
 
-      private def loadGroups(): Boolean = {
-        lg.clear(); rg.clear(); i = 0; j = 0
-        while (li.hasNext && ri.hasNext) {
-          val c = Kernels.compareKeys(li.head, leftKeyCols, ri.head, rightKeyCols)
-          if (c < 0) li.next()
-          else if (c > 0) ri.next()
-          else {
-            val keyRow = li.head
-            while (li.hasNext && Kernels.compareKeys(li.head, leftKeyCols, keyRow, leftKeyCols) == 0)
-              lg += li.next()
-            while (ri.hasNext && Kernels.compareKeys(ri.head, rightKeyCols, keyRow, leftKeyCols) == 0)
-              rg += ri.next()
-            return true
-          }
-        }
-        false
-      }
-
-      private def advance(): Array[Int] = {
-        while (true) {
-          while (i < lg.length) {
-            while (j < rg.length) {
-              val row = pairs.tryJoin(lg(i), rg(j))
-              j += 1
-              if (row != null) return row
-            }
-            j = 0; i += 1
-          }
-          if (!loadGroups()) return null
-        }
-        null // unreachable
-      }
-
-      def hasNext: Boolean = nextRow != null
-      def next(): Array[Int] = { val r = nextRow; nextRow = advance(); r }
-    }
-  }
+  def clear(): Unit = buffers.foreach(_.foreach(_.clear()))
 }
 
 object Stages {
@@ -151,6 +105,10 @@ object Stages {
   */
 object Engine {
 
+  /** Run the dataflow to completion, or until the time limit (then the
+    * count is partial). An exception on any machine or worker is rethrown
+    * here once every machine has stopped.
+    */
   def run(dataflow: Op, pg: PartitionedGraph, cfg: EngineConfig): Metrics = {
     require(pg.k == cfg.machines, "partition count must equal machine count")
     val metrics = new Metrics(cfg.machines, cfg.net)
@@ -161,45 +119,56 @@ object Engine {
     val pools   = Array.tabulate(k)(m => new WorkerPool(m, cfg.workersPerMachine, metrics))
     val barrier = new CyclicBarrier(k)
     @volatile var aborted = false
+    val failure  = new AtomicReference[Throwable]()
+    def fail(e: Throwable): Unit = { failure.compareAndSet(null, e); aborted = true }
     val deadline = if (cfg.timeLimitSec.isInfinity) Long.MaxValue
                    else System.nanoTime() + (cfg.timeLimitSec * 1e9).toLong
 
     val boards = stages.map(s => new StageBoard(s, k))
 
     val t0 = System.nanoTime()
-    val threads = (0 until k).map { m =>
-      val t = new Thread(() => {
-        try {
-          for ((stage, si) <- stages.zipWithIndex) {
-            val board  = boards(si)
-            val runner = new MachineRunner(m, stage, board, pg, caches(m), pools(m),
-                                           cfg, metrics, () => aborted,
-                                           () => { aborted = true })
-            runner.deadlineNanos = deadline
-            board.register(m, runner)
-            barrier.await() // all runners registered
-            if (!aborted) runner.runStage()
-            barrier.await() // stage complete everywhere
-            if (m == 0) stage.source match {
-              case JoinSrc(spec) => spec.buffers.foreach(_.foreach(_.clear()))
-              case _             =>
+    try {
+      val threads = (0 until k).map { m =>
+        val t = new Thread(() => {
+          try {
+            for ((stage, si) <- stages.zipWithIndex) {
+              // A failing machine keeps meeting the barriers, so the others
+              // see `aborted` and stop instead of waiting for it.
+              var runner: MachineRunner = null
+              try {
+                runner = new MachineRunner(m, stage, boards(si), pg, caches(m), pools(m),
+                                           cfg, metrics, () => aborted, () => { aborted = true })
+                runner.deadlineNanos = deadline
+                boards(si).register(m, runner)
+              } catch { case e: Throwable => fail(e) }
+              barrier.await() // all runners registered
+              try if (!aborted) runner.runStage()
+              catch { case e: Throwable => fail(e) }
+              barrier.await() // stage complete everywhere
+              stage.source match {
+                case JoinSrc(spec) => spec.buffers(m).foreach(_.clear())
+                case _             =>
+              }
             }
-            barrier.await()
-          }
-        } catch {
-          case _: InterruptedException =>
-          case e: Throwable => e.printStackTrace(); aborted = true; barrier.reset()
-        }
-      }, s"machine-$m")
-      t.start(); t
+          } catch { case e: Throwable => fail(e); barrier.reset() }
+        }, s"machine-$m")
+        t.start(); t
+      }
+      threads.foreach(_.join())
+    } finally {
+      pools.foreach(_.shutdown())
+      stages.foreach {
+        case Stage(JoinSrc(spec), _, _) => spec.clear()
+        case _                          =>
+      }
+      for (b <- boards; m <- 0 until k if b(m) != null) b(m).queues.foreach(_.clear())
     }
-    threads.foreach(_.join())
-    pools.foreach(_.shutdown())
     metrics.measuredWallSec = (System.nanoTime() - t0) / 1e9
     caches.foreach { c =>
       metrics.cacheHits.addAndGet(c.hits.get)
       metrics.cacheMisses.addAndGet(c.misses.get)
     }
+    if (failure.get != null) throw failure.get
     metrics
   }
 
@@ -263,7 +232,11 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
   }
   private var scanVertexIdx = 0
   private var scanNbrIdx    = 0
-  private var joinIter: Iterator[Array[Int]] = null
+  private var join: MergeJoin = null
+  // Pairs per worker chunk when a large key group is counted in parallel.
+  private val JoinChunkPairs = 1L << 14
+  // A join stage with no extends that feeds the count sink only counts.
+  private val countJoin = e == 0 && stage.sink == CountSink
 
   def ownWorkExhausted: Boolean = sourceDone && queues.forall(_.isEmpty)
 
@@ -339,13 +312,37 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     } else if (!kernels(fromExt).countOnly) sinkRows(rows)
   }
 
-  private def sinkRows(rows: collection.Seq[Array[Int]]): Unit = stage.sink match {
+  // Per-target staging of one output chunk bound for a join side: rows of
+  // stride `width` in `staged(t)`, `stagedRows(t)` of them.
+  private val staged: Array[Array[Int]] = Array.fill(cfg.machines)(Array.emptyIntArray)
+  private val stagedRows = new Array[Int](cfg.machines)
+
+  /** Count the rows, or route the whole chunk to the join buffers with one
+    * `add` (and one pushed-bytes update) per target machine.
+    */
+  private def sinkRows(rows: ArrayBuffer[Array[Int]]): Unit = stage.sink match {
     case CountSink => metrics.results.addAndGet(rows.length)
     case JoinSink(spec, side) =>
-      for (row <- rows) {
-        val t = spec.route(row, side)
-        if (t != m) metrics.bytesPushed.addAndGet(Kernels.rowBytes(row))
-        spec.buffers(t)(side).add(row)
+      val w = spec.widths(side)
+      java.util.Arrays.fill(stagedRows, 0)
+      var i = 0
+      while (i < rows.length) {
+        val row = rows(i)
+        val t   = spec.route(row, side)
+        val at  = stagedRows(t) * w
+        if (staged(t).length < at + w) staged(t) = java.util.Arrays.copyOf(staged(t), math.max(at + w, 2 * at))
+        System.arraycopy(row, 0, staged(t), at, w)
+        stagedRows(t) += 1
+        i += 1
+      }
+      var t = 0
+      while (t < cfg.machines) {
+        val n = stagedRows(t)
+        if (n > 0) {
+          if (t != m) metrics.bytesPushed.addAndGet(4L * w * n)
+          spec.buffers(t)(side).add(staged(t), n)
+        }
+        t += 1
       }
   }
 
@@ -382,15 +379,38 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
         }
         flush()
       case JoinSrc(spec) =>
-        if (joinIter == null) joinIter = spec.resultIterator(m)
-        while (joinIter.hasNext && !(e > 0 && queues(0).isFull) && !isAborted()) {
-          checkDeadline()
-          batch += joinIter.next()
-          if (batch.length >= cfg.batchSize) flush()
+        if (join == null) join = spec.mergeJoin(m)
+        if (countJoin) worked = countJoinGroups()
+        else {
+          val stop = () => { checkDeadline(); isAborted() }
+          while (!sourceDone && !(e > 0 && queues(0).isFull) && !isAborted()) {
+            if (!join.fill(batch, cfg.batchSize, stop)) sourceDone = true
+            flush()
+          }
         }
-        if (!joinIter.hasNext) sourceDone = true
-        flush()
     }
+    worked
+  }
+
+  /** Count-fused join: count each key group's pairs and build no rows. A
+    * large group is counted in chunks of left rows by the workers.
+    */
+  private def countJoinGroups(): Boolean = {
+    var worked = false
+    var n = 0L
+    while (!isAborted() && join.nextGroup()) {
+      if (join.groupPairs < 4 * JoinChunkPairs) n += join.countGroup()
+      else {
+        val chunk = math.max(1L, JoinChunkPairs / join.rightRows).toInt
+        pool.run(join.leftRows, chunk) { (w, from, until) =>
+          if (!isAborted()) metrics.results.addAndGet(join.countRows(w, from, until))
+        }
+      }
+      worked = true
+      checkDeadline()
+    }
+    metrics.results.addAndGet(n)
+    sourceDone = true
     worked
   }
 

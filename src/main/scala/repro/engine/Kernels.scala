@@ -1,6 +1,8 @@
 package repro.engine
 
-import java.io._
+import java.nio.{ByteBuffer, ByteOrder}
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, StandardOpenOption}
 import repro.core.{Op, PullExtend, PushJoin, SimpleExec}
 import scala.collection.mutable.ArrayBuffer
 
@@ -202,31 +204,6 @@ object Kernels {
     }
   }
 
-  /** Per-pair join kernel: merges one (left, right) row pair — cross-side
-    * injectivity and the join's symmetry conditions enforced (same
-    * semantics as SimpleExec's PushJoin). Returns null if the pair is
-    * infeasible.
-    */
-  final class PairJoin(j: PushJoin) {
-    private val rExtraCols: Array[Int] = j.right.matched.zipWithIndex
-      .collect { case (v, i) if !j.left.matched.contains(v) => i }.toArray
-    private val width = j.matched.length
-    private val cc    = condCols(j)
-
-    def tryJoin(l: Array[Int], r: Array[Int]): Array[Int] = {
-      val row = java.util.Arrays.copyOf(l, width)
-      var i   = 0
-      while (i < rExtraCols.length) {
-        val v = r(rExtraCols(i))
-        var p = 0
-        while (p < l.length) { if (l(p) == v) return null; p += 1 }
-        row(l.length + i) = v
-        i += 1
-      }
-      if (condsOkFast(cc, row)) row else null
-    }
-  }
-
   /** Open-addressing int hash set (no boxing) — the fetch stage dedups the
     * remote pivot vertices of every batch, so this path must be cheap for
     * the paper's "t_f is a small fraction of runtime" to hold.
@@ -280,103 +257,502 @@ object Kernels {
     }
   }
 
-  /** Lexicographic comparison of two rows on the given key columns. */
-  def compareKeys(a: Array[Int], aCols: Array[Int], b: Array[Int], bCols: Array[Int]): Int = {
+  // ---- PUSH-JOIN over flat rows ---------------------------------------------
+  // A join side's rows are packed into one `Array[Int]` with stride `width`;
+  // a row is addressed by the offset of its first column.
+
+  /** Lexicographic comparison, in `Integer.compare` order, of the key of the
+    * row at `a(ao ..)` (columns `aCols`) with the key of the row at `b(bo ..)`
+    * (columns `bCols`).
+    */
+  def keyCompare(a: Array[Int], ao: Int, aCols: Array[Int],
+                 b: Array[Int], bo: Int, bCols: Array[Int]): Int = {
     var i = 0
     while (i < aCols.length) {
-      val c = Integer.compare(a(aCols(i)), b(bCols(i)))
+      val c = Integer.compare(a(ao + aCols(i)), b(bo + bCols(i)))
       if (c != 0) return c
       i += 1
     }
     0
   }
+
+  /** Buckets of one radix-sort digit. */
+  val RadixBuckets: Int = 1 << 16
+
+  /** Sort the first `n` rows of `rows` (stride `width`) by the key columns,
+    * lexicographically in `Integer.compare` order: a stable LSD radix sort on
+    * 16-bit digits, least significant column first. The top digit of each
+    * column has its sign bit flipped, so negative ids sort first. A pass
+    * whose digits all fall in one bucket is skipped; a pass only clears and
+    * sums the bucket range its digits span. `tmp` must hold `n * width` ints
+    * and `counts` [[RadixBuckets]]. Returns the array holding the sorted
+    * rows: `rows` or `tmp`.
+    */
+  def radixSortRows(rows: Array[Int], tmp: Array[Int], n: Int, width: Int,
+                    keyCols: Array[Int], counts: Array[Int]): Array[Int] = {
+    var src = rows
+    var dst = tmp
+    if (n <= 1) return src
+    val len = n * width
+    var k = keyCols.length - 1
+    while (k >= 0) {
+      val c = keyCols(k)
+      var shift = 0
+      while (shift <= 16) {
+        val flip = if (shift == 16) 0x8000 else 0
+        var lo = RadixBuckets
+        var hi = -1
+        var off = c
+        while (off < len) {
+          val d = ((src(off) >>> shift) & 0xFFFF) ^ flip
+          if (d < lo) lo = d
+          if (d > hi) hi = d
+          off += width
+        }
+        if (lo < hi) {
+          java.util.Arrays.fill(counts, lo, hi + 1, 0)
+          off = c
+          while (off < len) { counts(((src(off) >>> shift) & 0xFFFF) ^ flip) += 1; off += width }
+          var sum = 0
+          var b   = lo
+          while (b <= hi) { val t = counts(b); counts(b) = sum; sum += t; b += 1 }
+          off = 0
+          while (off < len) {
+            val d  = ((src(off + c) >>> shift) & 0xFFFF) ^ flip
+            val to = counts(d) * width
+            counts(d) += 1
+            var i = 0
+            while (i < width) { dst(to + i) = src(off + i); i += 1 }
+            off += width
+          }
+          val t = src; src = dst; dst = t
+        }
+        shift += 16
+      }
+      k -= 1
+    }
+    src
+  }
+
+  /** A key-ordered run of flat rows: `buf(pos until end)`, refilled block by
+    * block from its spill file (if any) until the file is read to the end,
+    * at which point the file is closed and deleted.
+    */
+  final class RunCursor private () {
+    var buf: Array[Int] = Array.emptyIntArray
+    var pos: Int        = 0
+    var end: Int        = 0
+    private var file: Path        = null
+    private var ch: FileChannel   = null
+    private var bytes: ByteBuffer = null
+
+    /** Load the next block; false when the run is exhausted. */
+    def refill(): Boolean = {
+      if (ch == null) return false
+      bytes.clear()
+      while (bytes.hasRemaining && ch.read(bytes) >= 0) {}
+      bytes.flip()
+      val n = bytes.remaining >> 2
+      bytes.asIntBuffer().get(buf, 0, n)
+      pos = 0; end = n
+      if (ch.position() >= ch.size()) close()
+      n > 0
+    }
+
+    /** Close and delete the run's file; idempotent. */
+    def close(): Unit = if (ch != null) {
+      ch.close(); ch = null
+      Files.deleteIfExists(file)
+    }
+  }
+
+  object RunCursor {
+    /** Ints per block read back from a spill file. */
+    val BlockInts: Int = 1 << 14
+
+    /** A run already in memory: the first `n` rows of `rows`. */
+    def inMemory(rows: Array[Int], n: Int, width: Int): RunCursor = {
+      val c = new RunCursor
+      c.buf = rows; c.end = n * width
+      c
+    }
+
+    /** A run spilled to `file`, positioned on its first block. */
+    def onFile(file: Path, width: Int): RunCursor = {
+      val c = new RunCursor
+      c.file = file
+      c.ch = FileChannel.open(file, StandardOpenOption.READ)
+      val size = c.ch.size()
+      val ints = math.min(size >> 2, math.max(width, BlockInts / width * width).toLong).toInt
+      c.buf = new Array[Int](ints)
+      c.bytes = ByteBuffer.allocate(4 * ints).order(ByteOrder.nativeOrder())
+      c.refill()
+      c
+    }
+  }
+
+  /** K-way merge of key-ordered runs: a binary min-heap of cursor indices
+    * keyed by each cursor's current row. The head row is `buf(pos ..)`;
+    * [[advance]] moves the head cursor one row and re-sifts only the root.
+    */
+  final class RowMerge(width: Int, keyCols: Array[Int], cursors: Array[RunCursor]) {
+    private val heap = cursors.indices.filter(i => cursors(i).pos < cursors(i).end).toArray
+    private var size = heap.length
+    locally { var i = size / 2 - 1; while (i >= 0) { siftDown(i); i -= 1 } }
+
+    def nonEmpty: Boolean = size > 0
+    def buf: Array[Int]   = cursors(heap(0)).buf
+    def pos: Int          = cursors(heap(0)).pos
+
+    def advance(): Unit = {
+      val c = cursors(heap(0))
+      c.pos += width
+      if (c.pos >= c.end && !c.refill()) { size -= 1; heap(0) = heap(size) }
+      if (size > 1) siftDown(0)
+    }
+
+    private def less(a: Int, b: Int): Boolean = {
+      val x = cursors(a); val y = cursors(b)
+      keyCompare(x.buf, x.pos, keyCols, y.buf, y.pos, keyCols) < 0
+    }
+
+    private def siftDown(i0: Int): Unit = {
+      var i = i0
+      val h = heap(i)
+      var done = false
+      while (!done) {
+        var child = 2 * i + 1
+        if (child >= size) done = true
+        else {
+          if (child + 1 < size && less(heap(child + 1), heap(child))) child += 1
+          if (less(heap(child), h)) { heap(i) = heap(child); i = child }
+          else done = true
+        }
+      }
+      heap(i) = h
+    }
+  }
+
+  /** Pair-join kernel over flat rows, with the semantics of SimpleExec's
+    * PushJoin: a left row and a key-equal right row join iff every extra
+    * column of the right row avoids all values of the left row (cross-side
+    * injectivity) and the join's symmetry conditions hold. The kernel holds
+    * one key group of right rows ([[setRight]]) and checks a left row against
+    * all of them at once ([[countLeft]]). A joined row, the left row followed
+    * by the right row's extra columns, is built only for a pair that passed.
+    *
+    * Every partial result is injective, so a right row's extra values never
+    * equal its key values, which are the left row's: only the left row's
+    * non-key columns need checking. A join's conditions each relate a right
+    * extra vertex to a left vertex (Dataflow assigns a condition to the
+    * first operator binding both ends), so each compares one left column
+    * with one right column.
+    */
+  final class PairJoin(j: PushJoin) {
+    val leftWidth: Int  = j.left.matched.length
+    val rightWidth: Int = j.right.matched.length
+    val width: Int      = j.matched.length
+    private val rExtraCols: Array[Int] = j.right.matched.zipWithIndex
+      .collect { case (v, i) if !j.left.matched.contains(v) => i }.toArray
+    private val lFreeCols: Array[Int] = j.left.matched.zipWithIndex
+      .collect { case (v, i) if !j.key.contains(v) => i }.toArray
+    require(j.conds.forall { case (a, b) => j.left.matched.contains(a) != j.left.matched.contains(b) },
+      s"each condition of ${j.conds} must relate a left vertex to a right extra vertex")
+    // Condition i bounds right extra column condT(i) by left column condL(i):
+    // from below if leftLow(i) (l < r), else from above (r < l).
+    private val leftLow: Array[Boolean] = j.conds.map { case (a, _) => j.left.matched.contains(a) }.toArray
+    private val condL: Array[Int] =
+      j.conds.map { case (a, b) => j.left.col(if (j.left.matched.contains(a)) a else b) }.toArray
+    private val condT: Array[Int] = j.conds.map { case (a, b) =>
+      rExtraCols.indexOf(j.right.col(if (j.left.matched.contains(a)) b else a)) }.toArray
+
+    // The current left row, hoisted: its non-key values and the open window
+    // lo(t) < v < hi(t) its conditions put on each right extra column t.
+    // A pair joins iff each right extra value lies in its window and differs
+    // from every non-key left value.
+    private val free = new Array[Int](lFreeCols.length)
+    private val lo   = new Array[Int](rExtraCols.length)
+    private val hi   = new Array[Int](rExtraCols.length)
+
+    private def setLeft(l: Array[Int], off: Int): Unit = {
+      var i = 0
+      while (i < free.length) { free(i) = l(off + lFreeCols(i)); i += 1 }
+      java.util.Arrays.fill(lo, Int.MinValue)
+      java.util.Arrays.fill(hi, Int.MaxValue)
+      i = 0
+      while (i < condL.length) {
+        val v = l(off + condL(i))
+        val t = condT(i)
+        if (leftLow(i)) lo(t) = math.max(lo(t), v) else hi(t) = math.min(hi(t), v)
+        i += 1
+      }
+    }
+
+    // The current right group's extra columns, column-major
+    // (`rx(t * groupRows + j)`), and whether each row joins the left row of
+    // the last [[countLeft]].
+    private var rx        = Array.emptyIntArray
+    private var pass      = Array.emptyIntArray
+    private var groupRows = 0
+
+    /** Make the first `n` rows of `r` the group [[countLeft]] checks. */
+    def setRight(r: Array[Int], n: Int): Unit = {
+      groupRows = n
+      if (rx.length < n * rExtraCols.length) rx = new Array[Int](n * rExtraCols.length)
+      if (pass.length < n) pass = new Array[Int](n)
+      var t = 0
+      while (t < rExtraCols.length) {
+        val c = rExtraCols(t)
+        val base = t * n
+        var j = 0
+        while (j < n) { rx(base + j) = r(j * rightWidth + c); j += 1 }
+        t += 1
+      }
+    }
+
+    /** Number of rows of the current right group joining the left row at
+      * `l(off ..)`; [[passed]] then tells which. The checks run one column
+      * at a time, each a flat branch-free loop over the group: within a key
+      * group the outcome of a pair is close to a coin flip.
+      */
+    def countLeft(l: Array[Int], off: Int): Int = {
+      setLeft(l, off)
+      val n = groupRows
+      java.util.Arrays.fill(pass, 0, n, 1)
+      var t = 0
+      while (t < rExtraCols.length) {
+        val base = t * n
+        val a = lo(t).toLong
+        val b = hi(t).toLong
+        var j = 0
+        if (a != Int.MinValue || b != Int.MaxValue)
+          while (j < n) { val v = rx(base + j).toLong; pass(j) &= (((a - v) & (v - b)) >>> 63).toInt; j += 1 }
+        var p = 0
+        while (p < free.length) {
+          val f = free(p)
+          j = 0
+          while (j < n) { val d = rx(base + j) ^ f; pass(j) &= (d | -d) >>> 31; j += 1 }
+          p += 1
+        }
+        t += 1
+      }
+      var c = 0
+      var j = 0
+      while (j < n) { c += pass(j); j += 1 }
+      c
+    }
+
+    /** Whether right row `j` passed the last [[countLeft]]. */
+    def passed(j: Int): Boolean = pass(j) != 0
+
+    /** The joined row of the left row at `l(lOff ..)` and the right row at `r(rOff ..)`. */
+    def build(l: Array[Int], lOff: Int, r: Array[Int], rOff: Int): Array[Int] = {
+      val row = new Array[Int](width)
+      System.arraycopy(l, lOff, row, 0, leftWidth)
+      var i = 0
+      while (i < rExtraCols.length) { row(leftWidth + i) = r(rOff + rExtraCols(i)); i += 1 }
+      row
+    }
+  }
 }
 
 /** One side of a buffered distributed hash join (§4.3) on one machine.
   *
-  * Producers add shuffled rows; when the in-memory buffer exceeds the
-  * threshold the rows are sorted by join key and spilled to disk as a run
-  * ("external merge sort via the join keys"). `sortedIterator` merges the
-  * in-memory rest with all on-disk runs into one key-ordered stream, so the
-  * join reads each key group streaming — memory stays bounded by the buffer
-  * size regardless of input size.
+  * Producers append blocks of flat rows (stride `rowWidth`) to one growable
+  * array. When it holds `spillThresholdRows` rows they are radix-sorted by
+  * join key and written to disk as a run ("external merge sort via the join
+  * keys"). [[merged]] sorts the in-memory rest and merges it with all runs
+  * into one key-ordered stream; runs are read back block by block, so the
+  * merge's memory stays bounded whatever the input size. A run's file is
+  * deleted once it has been read; [[clear]] deletes the rest.
   */
 final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRows: Int,
                            machine: Int, metrics: Metrics) {
-  private val mem   = new ArrayBuffer[Array[Int]]()
-  private val runs  = new ArrayBuffer[File]()
-  private var total = 0L
+  private val threshold = math.max(1, spillThresholdRows)
+  private val maxInts   = math.min(threshold.toLong * rowWidth, Int.MaxValue - 8L).toInt
+  private var mem       = new Array[Int](math.min(maxInts, 1024 * rowWidth))
+  private var memRows   = 0
+  private var scratch   = Array.emptyIntArray
+  private var counts: Array[Int] = null
+  private val runs      = new ArrayBuffer[Path]()
+  private val cursors   = new ArrayBuffer[Kernels.RunCursor]()
+  private var total     = 0L
 
-  private def keyOrdering: Ordering[Array[Int]] =
-    (a, b) => Kernels.compareKeys(a, keyCols, b, keyCols)
-
-  def add(row: Array[Int]): Unit = this.synchronized {
-    mem += row
-    total += 1
-    metrics.memAdd(machine, Kernels.rowBytes(row))
-    if (mem.length >= spillThresholdRows) spill()
+  /** Append the first `n` rows of `src`, spilling each time the buffer
+    * reaches the threshold.
+    */
+  def add(src: Array[Int], n: Int): Unit = this.synchronized {
+    var done = 0
+    while (done < n) {
+      val take = math.min(n - done, threshold - memRows)
+      val need = (memRows + take) * rowWidth
+      if (mem.length < need)
+        mem = java.util.Arrays.copyOf(mem, math.max(need, math.min(maxInts.toLong, 2L * mem.length).toInt))
+      System.arraycopy(src, done * rowWidth, mem, memRows * rowWidth, take * rowWidth)
+      memRows += take
+      done += take
+      metrics.memAdd(machine, 4L * rowWidth * take)
+      if (memRows >= threshold) spill()
+    }
+    total += n
   }
 
   def rows: Long = this.synchronized(total)
 
-  private def spill(): Unit = {
-    val sorted = mem.sorted(keyOrdering)
-    val f      = File.createTempFile(s"huge-join-m$machine", ".run")
-    f.deleteOnExit()
-    val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f), 1 << 16))
-    try sorted.foreach { r => var i = 0; while (i < rowWidth) { out.writeInt(r(i)); i += 1 } }
-    finally out.close()
-    runs += f
-    metrics.spilledBytes.addAndGet(4L * rowWidth * sorted.length)
-    metrics.memAdd(machine, -mem.iterator.map(Kernels.rowBytes).sum)
-    mem.clear()
+  /** The spill files not yet read back and deleted. */
+  private[engine] def runFiles: Seq[Path] = this.synchronized(runs.filter(Files.exists(_)).toSeq)
+
+  /** Sort the in-memory rows; afterwards `mem` holds them in key order. */
+  private def sortMem(): Unit = if (memRows > 1) {
+    if (scratch.length < memRows * rowWidth) scratch = new Array[Int](mem.length)
+    if (counts == null) counts = new Array[Int](Kernels.RadixBuckets)
+    val sorted = Kernels.radixSortRows(mem, scratch, memRows, rowWidth, keyCols, counts)
+    if (sorted ne mem) { scratch = mem; mem = sorted }
   }
 
-  /** Key-ordered iterator over all buffered rows (memory + spilled runs).
-    * Call once, after all producers are done.
+  private def spill(): Unit = {
+    sortMem()
+    val f  = Files.createTempFile(s"huge-join-m$machine-", ".run")
+    runs += f
+    val ch = FileChannel.open(f, StandardOpenOption.WRITE, StandardOpenOption.TRUNCATE_EXISTING)
+    try {
+      val ints  = memRows * rowWidth
+      val bytes = ByteBuffer.allocate(4 * math.min(ints, Kernels.RunCursor.BlockInts * 4))
+                            .order(ByteOrder.nativeOrder())
+      val block = bytes.capacity >> 2
+      var off   = 0
+      while (off < ints) {
+        val len = math.min(block, ints - off)
+        bytes.clear()
+        bytes.asIntBuffer().put(mem, off, len)
+        bytes.limit(4 * len)
+        while (bytes.hasRemaining) ch.write(bytes)
+        off += len
+      }
+    } finally ch.close()
+    metrics.spilledBytes.addAndGet(4L * rowWidth * memRows)
+    metrics.memAdd(machine, -4L * rowWidth * memRows)
+    memRows = 0
+  }
+
+  /** Key-ordered merge of all buffered rows (memory + spilled runs). Call
+    * once, after all producers are done.
     */
-  def sortedIterator(): Iterator[Array[Int]] = this.synchronized {
-    val memSorted = mem.sorted(keyOrdering).iterator
-    val runIts: Seq[Iterator[Array[Int]]] = runs.toSeq.map(readRun)
-    val its = (memSorted +: runIts).map(_.buffered).filter(_.hasNext)
-    if (its.isEmpty) return Iterator.empty
-    if (its.size == 1) return its.head // common case: nothing spilled
-    new Iterator[Array[Int]] {
-      private val heap = new java.util.PriorityQueue[scala.collection.BufferedIterator[Array[Int]]](
-        math.max(1, its.size),
-        (x, y) => Kernels.compareKeys(x.head, keyCols, y.head, keyCols))
-      its.foreach(heap.add)
-      def hasNext: Boolean = !heap.isEmpty
-      def next(): Array[Int] = {
-        val it = heap.poll()
-        val r  = it.next()
-        if (it.hasNext) heap.add(it)
-        r
+  def merged(): Kernels.RowMerge = this.synchronized {
+    sortMem()
+    cursors += Kernels.RunCursor.inMemory(mem, memRows, rowWidth)
+    runs.foreach(f => cursors += Kernels.RunCursor.onFile(f, rowWidth))
+    new Kernels.RowMerge(rowWidth, keyCols, cursors.toArray)
+  }
+
+  /** Release the rows and delete every remaining run file; idempotent. */
+  def clear(): Unit = this.synchronized {
+    metrics.memAdd(machine, -4L * rowWidth * memRows)
+    memRows = 0
+    mem = Array.emptyIntArray
+    scratch = Array.emptyIntArray
+    counts = null
+    cursors.foreach(_.close())
+    cursors.clear()
+    runs.foreach(Files.deleteIfExists(_))
+    runs.clear()
+  }
+}
+
+/** One machine's merge join of its two side buffers, one key group at a
+  * time. Each group is copied into a flat buffer per side; the pairs of a
+  * group are then either counted or built into rows, resuming where the
+  * last call stopped. `pairKernels` holds one kernel per worker (a kernel
+  * hoists its current left row); kernel 0 also serves the calling thread.
+  */
+final class MergeJoin(pairKernels: Array[Kernels.PairJoin], left: Kernels.RowMerge, leftKeys: Array[Int],
+                      right: Kernels.RowMerge, rightKeys: Array[Int]) {
+  /** One side's rows of the current key: `n` rows of stride `w` in `rows`. */
+  private final class Group(w: Int, m: Kernels.RowMerge, keys: Array[Int]) {
+    var rows = new Array[Int](64 * w)
+    var n    = 0
+    /** Move the merge's rows sharing its head row's key into the group. */
+    def load(): Unit = {
+      n = 0
+      while (m.nonEmpty && (n == 0 || Kernels.keyCompare(m.buf, m.pos, keys, rows, 0, keys) == 0)) {
+        if (rows.length < (n + 1) * w) rows = java.util.Arrays.copyOf(rows, 2 * rows.length)
+        System.arraycopy(m.buf, m.pos, rows, n * w, w)
+        n += 1
+        m.advance()
       }
     }
   }
 
-  private def readRun(f: File): Iterator[Array[Int]] = {
-    val in = new DataInputStream(new BufferedInputStream(new FileInputStream(f), 1 << 16))
-    new Iterator[Array[Int]] {
-      private var nextRow: Array[Int] = advance()
-      private def advance(): Array[Int] =
-        try {
-          val r = new Array[Int](rowWidth)
-          var i = 0
-          while (i < rowWidth) { r(i) = in.readInt(); i += 1 }
-          r
-        } catch { case _: EOFException => in.close(); null }
-      def hasNext: Boolean = nextRow != null
-      def next(): Array[Int] = { val r = nextRow; nextRow = advance(); r }
-    }
+  private val lw = pairKernels(0).leftWidth
+  private val rw = pairKernels(0).rightWidth
+  private val lg = new Group(lw, left, leftKeys)
+  private val rg = new Group(rw, right, rightKeys)
+  // The next pair of the current group to try: left row a, right row b.
+  private var a = 0
+  private var b = 0
+
+  // The current group's number, and the group each worker's kernel holds.
+  private var groupId     = 0L
+  private val rightLoaded = Array.fill(pairKernels.length)(-1L)
+
+  /** Worker w's kernel, holding the current right group. */
+  private def kernel(w: Int): Kernels.PairJoin = {
+    val k = pairKernels(w)
+    if (rightLoaded(w) != groupId) { k.setRight(rg.rows, rg.n); rightLoaded(w) = groupId }
+    k
   }
 
-  /** Release in-memory rows (after the join consumed the iterator). */
-  def clear(): Unit = this.synchronized {
-    metrics.memAdd(machine, -mem.iterator.map(Kernels.rowBytes).sum)
-    mem.clear()
-    runs.foreach(_.delete())
-    runs.clear()
+  /** Load the next key present on both sides; false when none is left. */
+  def nextGroup(): Boolean = {
+    lg.n = 0; rg.n = 0; a = 0; b = 0
+    groupId += 1
+    while (left.nonEmpty && right.nonEmpty) {
+      val c = Kernels.keyCompare(left.buf, left.pos, leftKeys, right.buf, right.pos, rightKeys)
+      if (c < 0) left.advance()
+      else if (c > 0) right.advance()
+      else { lg.load(); rg.load(); return true }
+    }
+    false
+  }
+
+  def leftRows: Int    = lg.n
+  def rightRows: Int   = rg.n
+  def groupPairs: Long = lg.n.toLong * rg.n
+
+  /** Number of joined rows of the current group. */
+  def countGroup(): Long = countRows(0, 0, lg.n)
+
+  /** Number of joined rows of the current group's left rows `from until
+    * until`, on worker `w`'s kernel.
+    */
+  def countRows(w: Int, from: Int, until: Int): Long = {
+    val k = kernel(w)
+    var n = 0L
+    var i = from
+    while (i < until) { n += k.countLeft(lg.rows, i * lw); i += 1 }
+    n
+  }
+
+  /** Append joined rows to `out` until it holds `max` rows or the join ends
+    * (then returns false). `stop` is asked before each new key group; when it
+    * says so the call returns early with true.
+    */
+  def fill(out: ArrayBuffer[Array[Int]], max: Int, stop: () => Boolean): Boolean = {
+    while (out.length < max) {
+      if (a >= lg.n) {
+        if (stop()) return true
+        if (!nextGroup()) return false
+      } else {
+        val k  = kernel(0)
+        val lo = a * lw
+        if (b == 0) k.countLeft(lg.rows, lo)
+        while (b < rg.n && out.length < max) {
+          if (k.passed(b)) out += k.build(lg.rows, lo, rg.rows, b * rw)
+          b += 1
+        }
+        if (b >= rg.n) { b = 0; a += 1 }
+      }
+    }
+    true
   }
 }

@@ -55,6 +55,9 @@ final class Metrics(val k: Int, val net: NetworkModel = NetworkModel()) {
 
   def peakMemoryBytes: Long = memPeak.map(_.get).max
 
+  /** Intermediate bytes still held on all machines (0 once a run returns). */
+  def heldBytes: Long = memNow.map(_.get).sum
+
   var measuredWallSec: Double = 0.0
   /** Extra compute time injected by models (e.g. kv-store latency). */
   def modelledComputeSec: Double = kvAccesses.get * net.kvAccessLatencySec

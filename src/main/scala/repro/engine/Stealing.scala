@@ -1,6 +1,7 @@
 package repro.engine
 
 import java.util.concurrent.{CountDownLatch, Executors, ThreadFactory}
+import java.util.concurrent.atomic.AtomicReference
 
 /** Per-machine worker pool implementing intra-machine work stealing (§5.3).
   *
@@ -27,7 +28,8 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
     * a worker runs one chunk at a time, so per-worker state indexed by `w`
     * needs no lock). The caller thread blocks until every chunk is done (the
     * stage barrier of §4.2). Batches of at most one chunk, and single-worker
-    * pools, run on the caller thread as worker 0.
+    * pools, run on the caller thread as worker 0. The first exception a
+    * chunk throws is rethrown on the caller thread once every worker is done.
     */
   def run(n: Int, chunkSize: Int)(task: (Int, Int, Int) => Unit): Unit = {
     if (n == 0) return
@@ -35,12 +37,13 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
     val deques = Array.fill(nWorkers)(new java.util.ArrayDeque[Integer]())
     val chunks = (n + chunkSize - 1) / chunkSize
     for (c <- 0 until chunks) deques(c % nWorkers).addLast(c)
-    val latch = new CountDownLatch(nWorkers)
+    val latch   = new CountDownLatch(nWorkers)
+    val failure = new AtomicReference[Throwable]()
     for (w <- 0 until nWorkers) exec.execute { () =>
       val rng = java.util.concurrent.ThreadLocalRandom.current()
       try {
         var done = false
-        while (!done) {
+        while (!done && failure.get == null) {
           val chunk = deques(w).synchronized(deques(w).pollLast())
           if (chunk == null) {
             // Steal half of a random victim's remaining chunks from the front.
@@ -60,9 +63,11 @@ final class WorkerPool(val machine: Int, nWorkers: Int, metrics: Metrics) {
             task(w, from, math.min(n, from + chunkSize))
           }
         }
-      } finally latch.countDown()
+      } catch { case e: Throwable => failure.compareAndSet(null, e) }
+      finally latch.countDown()
     }
     latch.await()
+    if (failure.get != null) throw failure.get
   }
 
   def shutdown(): Unit = exec.shutdownNow()
@@ -93,6 +98,13 @@ final class BatchQueue(capacityRows0: Long, val rowWidth: Int, machine: Int, met
     val b = q.pollFirst()
     if (b != null) { rowCount -= b.length; metrics.memAdd(machine, -Kernels.batchBytes(b, rowWidth)) }
     b
+  }
+
+  /** Drop every queued batch (a run that stopped early). */
+  def clear(): Unit = this.synchronized {
+    metrics.memAdd(machine, -4L * rowCount * rowWidth)
+    q.clear()
+    rowCount = 0
   }
 
   def isFull: Boolean  = this.synchronized(rowCount >= capacityRows)

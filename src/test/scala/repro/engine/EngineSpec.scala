@@ -143,6 +143,79 @@ class EngineSpec extends AnyFunSuite {
     assert(m.spilledBytes.get > 0)
   }
 
+  // --- flat PUSH-JOIN --------------------------------------------------------
+  // Every plan family below runs with a run per 16 rows and with the default
+  // threshold (no spill on these graphs). A run per row is tried on road
+  // only: on pl it writes 60k-160k run files per query, and file creation
+  // then dominates the test time.
+  val joinQueries = Seq("q5" -> Queries.q5, "q7" -> Queries.q7, "q8" -> Queries.q8)
+  def spillThresholds(graph: String): Seq[Int] =
+    (if (graph == "road") Seq(1) else Nil) ++ Seq(16, EngineConfig().spillThresholdRows)
+
+  /** A pushing hash join of units a and b, then unit c joined by Equation 3
+    * (a pulled star join): the join stage is followed by extends.
+    */
+  def pushThenPull(q: QueryGraph, a: Set[(Int, Int)], b: Set[(Int, Int)], c: Set[(Int, Int)]): PlanNode = {
+    val (ua, ub, uc) = (SubQuery(q, a), SubQuery(q, b), SubQuery(q, c))
+    val ab = JoinNode(ua.union(ub), UnitScan(ua), UnitScan(ub),
+                      PhysicalSetting(JoinAlgo.Hash, CommMode.Pushing, -1))
+    JoinNode(ab.sub.union(uc), ab, UnitScan(uc), PhysicalSetting.configure(ab.sub, uc))
+  }
+  val joinThenExtend: Map[String, QueryGraph => PlanNode] = Map(
+    "q5" -> (q => pushThenPull(q, Set((0, 1), (0, 3)), Set((1, 2), (2, 3)), Set((2, 4), (3, 4)))),
+    "q7" -> (q => pushThenPull(q, Set((0, 1), (1, 2)), Set((2, 3)), Set((3, 4)))),
+    "q8" -> (q => pushThenPull(q, Set((0, 1), (1, 2)), Set((2, 3), (3, 4)), Set((4, 5), (0, 5)))),
+  )
+  val seedPlan: QueryGraph => PlanNode = q => LogicalPlans.seed(q, cost, 3)
+  def hugePlan(k: Int): QueryGraph => PlanNode = q => Optimiser.optimise(q, cost, OptimiserConfig.huge(k))
+
+  def dataflow(q: QueryGraph, plan: PlanNode): Op = Dataflow.fromPlan(plan, q, q.symmetryConditions)
+
+  test("the join plan families have the stage shapes they are meant to cover") {
+    for (q <- Seq(Queries.q7, Queries.q8))
+      assert(dataflow(q, hugePlan(3)(q)).isInstanceOf[PushJoin],
+        "HUGE's join stage feeds the count sink directly (count-fused)")
+    for ((qn, q) <- joinQueries)
+      dataflow(q, joinThenExtend(qn)(q)) match {
+        case e: PullExtend => assert(e.sequence.exists(_.isInstanceOf[PushJoin]), qn)
+        case op            => fail(s"$qn: $op does not end in an extend")
+      }
+    for (q <- Seq(Queries.q5, Queries.q8)) {
+      val nested = dataflow(q, seedPlan(q)).sequence.collect { case j: PushJoin => j }
+        .exists(j => (j.left.sequence ++ j.right.sequence).exists(_.isInstanceOf[PushJoin]))
+      assert(nested, "SEED's bushy plan feeds a join into another join's side")
+    }
+  }
+
+  for ((family, plan) <- Seq[(String, (String, Int) => QueryGraph => PlanNode)](
+         "HUGE plan"        -> ((_, k) => hugePlan(k)),
+         "join then extend" -> ((qn, _) => joinThenExtend(qn)),
+         "SEED plan"        -> ((_, _) => seedPlan));
+       (qn, q) <- joinQueries; (gn, g) <- Seq("pl" -> TestGraphs.pl, "road" -> TestGraphs.road);
+       k <- Seq(1, 2, 3); t <- spillThresholds(gn))
+    test(s"PUSH-JOIN is exact ($family): $qn on $gn, k=$k, spill threshold $t") {
+      val p = plan(qn, k)
+      val m = hugeRun(q, g, base(k).copy(spillThresholdRows = t), p)
+      assert(m.results.get == expected(q, g))
+      assert(m.heldBytes == 0, "a finished run holds no rows")
+      val joins = dataflow(q, p(q)).sequence.exists(_.isInstanceOf[PushJoin])
+      if (t == 1 && joins) assert(m.spilledBytes.get > 0, "a run per row spills")
+    }
+
+  test("a time-limited PUSH-JOIN run returns a partial count and holds no rows") {
+    val m = hugeRun(Queries.q7, TestGraphs.pl, base().copy(timeLimitSec = 0.0, spillThresholdRows = 16))
+    assert(m.results.get <= expected(Queries.q7, TestGraphs.pl))
+    assert(m.heldBytes == 0)
+  }
+
+  // --- failures ---------------------------------------------------------------
+  test("a machine failure is rethrown, not returned as a partial count") {
+    // Every adjacency list names vertex 9 of a 4-vertex graph.
+    val bad = new DataGraph(Array(Array(1, 2, 9), Array(0, 2, 9), Array(0, 1, 3, 9), Array(2, 9)))
+    for (q <- Seq(Queries.q1, Queries.q8); k <- Seq(1, 2))
+      intercept[IndexOutOfBoundsException](hugeRun(q, bad, base(k)))
+  }
+
   // --- stealing -------------------------------------------------------------
   test("inter-machine stealing preserves counts") {
     val withSteal = hugeRun(Queries.q2, TestGraphs.pl, base().copy(interStealing = true))

@@ -2,7 +2,7 @@ package repro.engine
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.graph.Intersect
+import repro.graph.{Intersect, Queries, TestGraphs}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -148,5 +148,203 @@ class KernelsSpec extends AnyFunSuite {
     q.enqueue(batch)
     assert(q.rows == 5 && metrics.peakMemoryBytes == 60)
     intercept[IllegalArgumentException](q.enqueue(Array(Array(1, 2))))
+  }
+
+  // ---- PUSH-JOIN over flat rows ---------------------------------------------
+
+  private val byKey: Ordering[Vector[Int]] = Ordering.Implicits.seqOrdering[Vector, Int]
+
+  /** `n` random rows of `width` columns. Values come from a narrow range
+    * (many duplicate keys) or the whole int range, negatives included.
+    */
+  private def randomRows(r: Random, n: Int, width: Int): Vector[Array[Int]] = {
+    val narrow = r.nextBoolean()
+    Vector.fill(n)(Array.fill(width)(if (narrow) r.nextInt(9) - 4 else r.nextInt()))
+  }
+
+  /** One or two distinct key columns of a `width`-column row. */
+  private def randomKeyCols(r: Random, width: Int): Array[Int] =
+    r.shuffle((0 until width).toVector).take(1 + r.nextInt(math.min(2, width))).toArray
+
+  private def key(row: Array[Int], cols: Array[Int]): Vector[Int] = cols.toVector.map(row)
+
+  /** The rows a merge yields, in order. */
+  private def drain(m: Kernels.RowMerge, width: Int): Vector[Vector[Int]] = {
+    val out = Vector.newBuilder[Vector[Int]]
+    while (m.nonEmpty) { out += m.buf.slice(m.pos, m.pos + width).toVector; m.advance() }
+    out.result()
+  }
+
+  test("radix sort of flat rows equals a stable sortBy on the key") {
+    val r      = new Random(5)
+    val counts = new Array[Int](Kernels.RadixBuckets)
+    for (c <- 0 until 2000) {
+      val width = 1 + r.nextInt(5)
+      val rows  = randomRows(r, r.nextInt(300), width)
+      val keys  = randomKeyCols(r, width)
+      val flat  = rows.flatten.toArray
+      val tmp   = new Array[Int](flat.length)
+      val out   = Kernels.radixSortRows(flat, tmp, rows.length, width, keys, counts)
+      val expected = rows.sortBy(key(_, keys))(byKey).map(_.toVector)
+      assert(out.grouped(width).map(_.toVector).toVector.take(rows.length) == expected,
+        s"case $c: width $width keys ${keys.toVector}")
+    }
+  }
+
+  test("heap merge of sorted runs equals the sorted concatenation") {
+    val r      = new Random(6)
+    val counts = new Array[Int](Kernels.RadixBuckets)
+    for (c <- 0 until 1000) {
+      val width = 1 + r.nextInt(4)
+      val keys  = randomKeyCols(r, width)
+      val runs  = Vector.fill(1 + r.nextInt(6))(randomRows(r, r.nextInt(40), width))
+      val cursors = runs.map { rows =>
+        val flat = rows.flatten.toArray
+        val out  = Kernels.radixSortRows(flat, new Array[Int](flat.length), rows.length, width, keys, counts)
+        Kernels.RunCursor.inMemory(out, rows.length, width)
+      }
+      val got = drain(new Kernels.RowMerge(width, keys, cursors.toArray), width)
+      val all = runs.flatten.map(_.toVector)
+      assert(got.map(_.toArray).map(key(_, keys)) == all.map(_.toArray).map(key(_, keys)).sorted(byKey),
+        s"case $c: keys out of order")
+      assert(got.sorted(byKey) == all.sorted(byKey), s"case $c: rows lost or duplicated")
+    }
+  }
+
+  // Join shapes: left and right sub-dataflows sharing a 1- or 2-vertex key.
+  private val joinShapes: Vector[(Op, Op)] = {
+    val path012 = PullExtend(ScanEdge(0, 1, Vector.empty), Vector(1), 2, verify = false, Vector.empty)
+    val path0123 = PullExtend(path012, Vector(2), 3, verify = false, Vector.empty)
+    Vector(
+      (path012, ScanEdge(2, 3, Vector.empty)),                                                // key {2}
+      (path012, PullExtend(ScanEdge(4, 2, Vector.empty), Vector(4), 0, verify = false, Vector.empty)), // key {0, 2}
+      (path0123, PullExtend(ScanEdge(3, 4, Vector.empty), Vector(4), 0, verify = false, Vector.empty)), // key {0, 3}
+    )
+  }
+
+  /** A random injective row binding `vars`, with `fixed` values kept. */
+  private def injectiveRow(r: Random, vars: Vector[Int], fixed: Map[Int, Int]): Array[Int] = {
+    val pool = r.shuffle((-6 to 6).filterNot(fixed.values.toSet).toVector).iterator
+    vars.map(v => fixed.getOrElse(v, pool.next())).toArray
+  }
+
+  test("pair join check-and-build equals SimpleExec's PushJoin semantics") {
+    val r = new Random(7)
+    var joined, rejected = 0
+    for (c <- 0 until 3000) {
+      val (left, right) = joinShapes(r.nextInt(joinShapes.size))
+      val extras = right.matched.filterNot(left.matched.contains)
+      val lFree  = left.matched.filterNot(right.matched.contains)
+      val conds  = (for (a <- lFree; b <- extras) yield if (r.nextBoolean()) (a, b) else (b, a))
+        .filter(_ => r.nextInt(3) == 0)
+      val j     = PushJoin(left, right, conds)
+      val pairs = new Kernels.PairJoin(j)
+      val l     = injectiveRow(r, left.matched, Map.empty)
+      // A key group of right rows, behind a random offset in the left buffer.
+      val group = Vector.fill(1 + r.nextInt(8))(
+        injectiveRow(r, right.matched, j.key.map(v => v -> l(left.col(v))).toMap))
+      val lOff  = r.nextInt(3) * left.matched.length
+      val lBuf  = new Array[Int](lOff) ++ l
+      pairs.setRight(group.flatten.toArray, group.size)
+      val n = pairs.countLeft(lBuf, lOff)
+      for ((rr, i) <- group.zipWithIndex) {
+        val row = l ++ extras.map(v => rr(right.col(v)))
+        val ok  = !extras.exists(v => l.contains(rr(right.col(v)))) && SimpleExec.condsOk(j, row)
+        assert(pairs.passed(i) == ok, s"case $c: ${l.toVector} ${rr.toVector} conds $conds")
+        assert(pairs.build(lBuf, lOff, rr, 0).toVector == row.toVector)
+        if (ok) joined += 1 else rejected += 1
+      }
+      assert(n == (0 until group.size).count(pairs.passed), s"case $c")
+    }
+    assert(joined > 1000 && rejected > 1000, s"joined=$joined rejected=$rejected")
+  }
+
+  test("merge join of side buffers equals SimpleExec's PushJoin on the test graphs") {
+    val cost = CostModel.of(TestGraphs.pl)
+    for (q <- Seq(Queries.q7, Queries.q8); (gn, g) <- Seq("pl" -> TestGraphs.pl, "road" -> TestGraphs.road);
+         threshold <- Seq(64, 1 << 20)) {
+      val j = Dataflow.fromPlan(Optimiser.optimise(q, cost, OptimiserConfig.huge(2)), q, q.symmetryConditions)
+        .asInstanceOf[PushJoin]
+      val metrics = new Metrics(1)
+      def loaded(): JoinSpec = {
+        val spec = new JoinSpec(j, EngineConfig(machines = 1, workersPerMachine = 2,
+                                                spillThresholdRows = threshold), metrics)
+        for ((side, op) <- Seq(0 -> j.left, 1 -> j.right)) {
+          val rows = SimpleExec.run(op, g)
+          spec.buffers(0)(side).add(rows.flatten.toArray, rows.length)
+        }
+        spec
+      }
+      val expected = SimpleExec.run(j, g).map(_.toVector).sorted(byKey)
+      val building = loaded()
+      val mj       = building.mergeJoin(0)
+      val built    = ArrayBuffer.empty[Array[Int]]
+      while (mj.fill(built, built.length + 1000, () => false)) {}
+      assert(built.map(_.toVector).sorted(byKey) == expected, s"$gn $q threshold $threshold")
+      building.clear()
+      val counting = loaded()
+      val cj = counting.mergeJoin(0)
+      var n, chunked = 0L
+      while (cj.nextGroup()) {
+        n += cj.countGroup()
+        // The same group in chunks of 3 left rows, alternating the workers' kernels.
+        for (from <- 0 until cj.leftRows by 3)
+          chunked += cj.countRows(from / 3 % 2, from, math.min(cj.leftRows, from + 3))
+      }
+      assert(n == expected.size && chunked == n, s"$gn $q threshold $threshold (count)")
+      counting.clear()
+      assert(metrics.heldBytes == 0)
+    }
+  }
+
+  test("a side buffer returns its input in key order at every spill threshold") {
+    val r = new Random(8)
+    for (c <- 0 until 200; threshold <- Seq(1, 2, 16, 1 << 20)) {
+      val width   = 1 + r.nextInt(4)
+      val keys    = randomKeyCols(r, width)
+      val rows    = randomRows(r, r.nextInt(120), width)
+      val metrics = new Metrics(1)
+      val buf     = new JoinSideBuffer(width, keys, threshold, 0, metrics)
+      var at = 0
+      while (at < rows.length) {
+        val n = math.min(rows.length - at, 1 + r.nextInt(40))
+        buf.add(rows.slice(at, at + n).flatten.toArray, n)
+        at += n
+      }
+      assert(buf.rows == rows.length)
+      assert(metrics.spilledBytes.get == 4L * width * (rows.length / threshold * threshold), s"case $c")
+      val got = drain(buf.merged(), width)
+      assert(got.map(_.toArray).map(key(_, keys)) == rows.map(key(_, keys)).sorted(byKey),
+        s"case $c: threshold $threshold keys out of order")
+      assert(got.sorted(byKey) == rows.map(_.toVector).sorted(byKey), s"case $c: threshold $threshold")
+      assert(buf.runFiles.isEmpty, "every run is deleted once read")
+      buf.clear()
+      assert(metrics.heldBytes == 0)
+    }
+  }
+
+  test("spilled run files exist until the side buffer is cleared") {
+    val metrics = new Metrics(1)
+    val buf     = new JoinSideBuffer(2, Array(0), 2, 0, metrics)
+    buf.add(Array(5, 1, 3, 2, 4, 3, 1, 4, 2, 5), 5)
+    val files = buf.runFiles
+    assert(files.size == 2 && files.forall(java.nio.file.Files.exists(_)))
+    assert(metrics.heldBytes == 8)
+    buf.clear()
+    assert(files.forall(f => !java.nio.file.Files.exists(f)) && buf.runFiles.isEmpty)
+    assert(metrics.heldBytes == 0)
+  }
+
+  test("a worker pool rethrows a chunk's exception on the caller") {
+    val pool = new WorkerPool(0, 3, new Metrics(1))
+    try {
+      val e = intercept[IllegalStateException] {
+        pool.run(1000, 10) { (_, from, _) => if (from == 500) throw new IllegalStateException("chunk 50") }
+      }
+      assert(e.getMessage == "chunk 50")
+      var rows = new java.util.concurrent.atomic.AtomicInteger
+      pool.run(1000, 10) { (_, from, until) => rows.addAndGet(until - from) }
+      assert(rows.get == 1000, "the pool still works after a failed batch")
+    } finally pool.shutdown()
   }
 }
