@@ -157,9 +157,4 @@ object Dataflow {
     require(op.matched.toSet == q.touchedVertices, "dataflow must bind every query vertex")
     op
   }
-
-  /** Dataflow for query q under HUGE's optimal plan. */
-  def forQuery(q: QueryGraph, cost: CostModel,
-               cfg: OptimiserConfig = OptimiserConfig()): Op =
-    fromPlan(Optimiser.optimise(q, cost, cfg), q, q.symmetryConditions)
 }

@@ -3,7 +3,6 @@ package repro.engine
 import java.util.concurrent.CyclicBarrier
 import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicReference}
 import repro.core._
-import scala.collection.mutable.ArrayBuffer
 
 /** Engine configuration — one per "system" (HUGE and every baseline run on
   * the same engine with different knobs, the paper's plug-in story).
@@ -36,9 +35,9 @@ final case class EngineConfig(
   * linear chains; chains run as stages in topological order with a global
   * barrier between stages.
   */
-sealed trait ChainSource
+sealed trait ChainSource { def op: Op }
 final case class ScanSrc(op: ScanEdge)  extends ChainSource
-final case class JoinSrc(spec: JoinSpec) extends ChainSource
+final case class JoinSrc(spec: JoinSpec) extends ChainSource { def op: Op = spec.op }
 
 sealed trait ChainSink
 case object CountSink                                 extends ChainSink
@@ -54,12 +53,12 @@ final class JoinSpec(val op: PushJoin, cfg: EngineConfig, metrics: Metrics) {
     new JoinSideBuffer(widths(side), keyCols(side), cfg.spillThresholdRows, m, metrics)
   }
 
-  /** Machine owning a row's join-key bucket. */
-  def route(row: Array[Int], side: Int): Int = {
+  /** Machine owning the join-key bucket of the row at `row(off ..)`. */
+  def route(row: Array[Int], off: Int, side: Int): Int = {
     val cols = keyCols(side)
     var h = 17
     var i = 0
-    while (i < cols.length) { h = h * 31 + row(cols(i)) * 0x9E3779B9; i += 1 }
+    while (i < cols.length) { h = h * 31 + row(off + cols(i)) * 0x9E3779B9; i += 1 }
     (h >>> 8) % cfg.machines
   }
 
@@ -137,8 +136,7 @@ object Engine {
               var runner: MachineRunner = null
               try {
                 runner = new MachineRunner(m, stage, boards(si), pg, caches(m), pools(m),
-                                           cfg, metrics, () => aborted, () => { aborted = true })
-                runner.deadlineNanos = deadline
+                                           cfg, metrics, deadline, () => aborted, () => { aborted = true })
                 boards(si).register(m, runner)
               } catch { case e: Throwable => fail(e) }
               barrier.await() // all runners registered
@@ -201,10 +199,8 @@ final class StageBoard(val stage: Stage, k: Int) {
   */
 final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
                           pg: PartitionedGraph, cache: NbrCache, pool: WorkerPool,
-                          cfg: EngineConfig, metrics: Metrics,
+                          cfg: EngineConfig, metrics: Metrics, deadlineNanos: Long,
                           isAborted: () => Boolean, abort: () => Unit) {
-
-  var deadlineNanos: Long = Long.MaxValue
 
   private val e = stage.exts.length
   val queues: Array[BatchQueue] = stage.exts.map { ex =>
@@ -219,6 +215,12 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     val maxPivots = (stage.exts.map(_.ext.length) :+ 1).max
     Array.fill(cfg.workersPerMachine)(new Kernels.Scratch(maxPivots))
   }
+  // Per-extend output buffers, one per worker, reused batch after batch. A
+  // stolen batch's depth-first pipeline holds one extend's output while the
+  // next extend runs, so each extend has its own.
+  private val outs: Array[Array[Rows]] = stage.exts.map { ex =>
+    Array.fill(cfg.workersPerMachine)(new Rows(ex.matched.length))
+  }.toArray
 
   // ---- source state -------------------------------------------------------
   private var sourceDone = false
@@ -230,8 +232,8 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     case ScanSrc(_) => pg.localVertices(m).toArray.sortBy(v => v * 0x9E3779B9)
     case _          => Array.emptyIntArray
   }
+  private val scanConds = Kernels.condCols(stage.source.op)
   private var scanVertexIdx = 0
-  private var scanNbrIdx    = 0
   private var join: MergeJoin = null
   // Pairs per worker chunk when a large key group is counted in parallel.
   private val JoinChunkPairs = 1L << 14
@@ -245,7 +247,6 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
 
   // ---- Algorithm 5 --------------------------------------------------------
   def runStage(): Unit = {
-    var spins = 0
     while (!isAborted()) {
       val worked = runOwnWork()
       if (!worked) {
@@ -253,7 +254,6 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
         if (!stole) {
           board.setIdle(m, true)
           if (board.allDone) return
-          spins += 1
           Thread.sleep(0, 200_000)
           board.setIdle(m, false)
         } else board.setIdle(m, false)
@@ -300,47 +300,45 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       val batch = queues(qi).tryDequeue()
       if (batch != null) {
         worked = true
-        processExtendBatch(qi, batch, out => emit(out, qi))
+        processExtendBatch(qi, batch, 0, batch.n, out => emit(out, qi))
       }
     }
     worked
   }
 
-  private def emit(rows: ArrayBuffer[Array[Int]], fromExt: Int): Unit = {
-    if (fromExt + 1 < e) {
-      rows.grouped(cfg.batchSize).foreach(g => queues(fromExt + 1).enqueue(g.toArray))
-    } else if (!kernels(fromExt).countOnly) sinkRows(rows)
+  /** `f(from, until)` over consecutive ranges of at most `batchSize` of `n` rows. */
+  private def batches(n: Int)(f: (Int, Int) => Unit): Unit =
+    for (from <- 0 until n by cfg.batchSize) f(from, math.min(n, from + cfg.batchSize))
+
+  private def emit(rows: Rows, fromExt: Int): Unit = {
+    if (fromExt + 1 < e) batches(rows.n)((from, until) => queues(fromExt + 1).enqueue(rows.slice(from, until)))
+    else if (!kernels(fromExt).countOnly) sinkRows(rows)
   }
 
-  // Per-target staging of one output chunk bound for a join side: rows of
-  // stride `width` in `staged(t)`, `stagedRows(t)` of them.
-  private val staged: Array[Array[Int]] = Array.fill(cfg.machines)(Array.emptyIntArray)
-  private val stagedRows = new Array[Int](cfg.machines)
+  // Per-target staging of one output chunk bound for a join side.
+  private val staged: Array[Rows] = stage.sink match {
+    case JoinSink(spec, side) => Array.fill(cfg.machines)(new Rows(spec.widths(side)))
+    case CountSink            => Array.empty
+  }
 
   /** Count the rows, or route the whole chunk to the join buffers with one
     * `add` (and one pushed-bytes update) per target machine.
     */
-  private def sinkRows(rows: ArrayBuffer[Array[Int]]): Unit = stage.sink match {
-    case CountSink => metrics.results.addAndGet(rows.length)
+  private def sinkRows(rows: Rows): Unit = stage.sink match {
+    case CountSink => metrics.results.addAndGet(rows.n)
     case JoinSink(spec, side) =>
-      val w = spec.widths(side)
-      java.util.Arrays.fill(stagedRows, 0)
-      var i = 0
-      while (i < rows.length) {
-        val row = rows(i)
-        val t   = spec.route(row, side)
-        val at  = stagedRows(t) * w
-        if (staged(t).length < at + w) staged(t) = java.util.Arrays.copyOf(staged(t), math.max(at + w, 2 * at))
-        System.arraycopy(row, 0, staged(t), at, w)
-        stagedRows(t) += 1
-        i += 1
+      staged.foreach(_.clear())
+      var off = 0
+      while (off < rows.n * rows.width) {
+        staged(spec.route(rows.data, off, side)).add(rows.data, off)
+        off += rows.width
       }
       var t = 0
       while (t < cfg.machines) {
-        val n = stagedRows(t)
-        if (n > 0) {
-          if (t != m) metrics.bytesPushed.addAndGet(4L * w * n)
-          spec.buffers(t)(side).add(staged(t), n)
+        val st = staged(t)
+        if (st.n > 0) {
+          if (t != m) metrics.bytesPushed.addAndGet(st.bytes)
+          spec.buffers(t)(side).add(st.data, st.n)
         }
         t += 1
       }
@@ -352,29 +350,31 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     */
   private def generateSource(): Boolean = {
     var worked = false
-    val batch  = new ArrayBuffer[Array[Int]](cfg.batchSize)
-    def flush(): Unit = if (batch.nonEmpty) {
+    var batch  = new Rows(stage.source.op.matched.length)
+    // A queued batch belongs to its queue; a sunk one is copied out.
+    def flush(): Unit = if (batch.n > 0) {
       worked = true
-      if (e > 0) queues(0).enqueue(batch.toArray) else sinkRows(batch)
-      batch.clear()
+      if (e > 0) { queues(0).enqueue(batch); batch = new Rows(batch.width) }
+      else { sinkRows(batch); batch.clear() }
     }
     stage.source match {
-      case ScanSrc(scan) =>
+      case ScanSrc(_) =>
+        val edge = new Array[Int](2)
         while (!sourceDone && !(e > 0 && queues(0).isFull) && !isAborted()) {
           checkDeadline()
           if (scanVertexIdx >= scanLocal.length) { sourceDone = true }
           else {
             val u  = scanLocal(scanVertexIdx)
             val ns = pg.localNbrs(u, m)
-            var i  = scanNbrIdx
+            edge(0) = u
+            var i  = 0
             while (i < ns.length) {
-              val row = Array(u, ns(i))
-              if (Kernels.condsOk(scan, row)) batch += row
+              edge(1) = ns(i)
+              if (Kernels.condsOkFast(scanConds, edge, 0)) batch.add(edge, 0)
               i += 1
             }
-            scanNbrIdx = 0
             scanVertexIdx += 1
-            if (batch.length >= cfg.batchSize) flush()
+            if (batch.n >= cfg.batchSize) flush()
           }
         }
         flush()
@@ -415,77 +415,73 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
   }
 
   // ---- PULL-EXTEND (Algorithm 4) ------------------------------------------
-  /** Process one input batch, emitting bounded output chunks. The batch is
-    * first split so each sub-batch's *expected expansion* (sum over rows of
-    * the smallest pivot degree — an upper bound on the intersection size)
-    * stays bounded: one 20k-degree hub row can otherwise blow a 4096-row
-    * batch up to 10^8 output rows in a single burst, stalling the window
-    * and overflowing memory far beyond the queue bound. A counting extend
-    * emits empty chunks.
+  /** Process rows `from until until` of a batch, emitting bounded output
+    * chunks. The rows are first split into sub-ranges whose *expected
+    * expansion* (sum over rows of the smallest pivot degree — an upper
+    * bound on the intersection size) is bounded: one 20k-degree hub row can
+    * otherwise blow a 4096-row batch up to 10^8 output rows in a single
+    * burst, stalling the window and overflowing memory far beyond the queue
+    * bound. A counting extend emits empty chunks. A chunk's buffer is reused
+    * for the next sub-range.
     */
-  def processExtendBatch(qi: Int, batch: Array[Array[Int]],
-                         emit: ArrayBuffer[Array[Int]] => Unit): Unit = {
-    val kernel    = kernels(qi)
-    val pivotCols = kernel.pivotCols
+  private def processExtendBatch(qi: Int, batch: Rows, from: Int, until: Int, emit: Rows => Unit): Unit = {
+    val pivotCols = kernels(qi).pivotCols
     val maxExpansion = math.max(cfg.batchSize.toLong * 8, 32768L)
-    var start = 0
+    var start = from
     var acc   = 0L
-    var i     = 0
-    while (i < batch.length) {
+    var i     = from
+    while (i < until) {
       var minDeg = Int.MaxValue
       var pc = 0
       while (pc < pivotCols.length) {
-        val d = pg.g.degree(batch(i)(pivotCols(pc))) // degree = graph metadata
+        val d = pg.g.degree(batch.data(i * batch.width + pivotCols(pc))) // degree = graph metadata
         if (d < minDeg) minDeg = d
         pc += 1
       }
       acc += minDeg
       i += 1
-      if (acc >= maxExpansion || i == batch.length) {
-        val sub = if (start == 0 && i == batch.length) batch
-                  else java.util.Arrays.copyOfRange(batch, start, i)
-        emit(processExtendSub(kernel, sub))
+      if (acc >= maxExpansion || i == until) {
+        emit(processExtendSub(qi, batch, start, i))
         start = i
         acc = 0L
       }
     }
   }
 
-  private def processExtendSub(kernel: Kernels.ExtendKernel,
-                               batch: Array[Array[Int]]): ArrayBuffer[Array[Int]] = {
-    val pivotCols = kernel.pivotCols
+  /** Extend rows `from until until` of `batch`; returns the output rows. */
+  private def processExtendSub(qi: Int, batch: Rows, from: Int, until: Int): Rows = {
+    val pivotCols = kernels(qi).pivotCols
+    val w         = batch.width
     if (cfg.pushExtends) {
       // BiGJoin-native: each partial result travels to the owner of every
       // extension pivot in turn; the intersection itself is then local.
-      var b = 0
-      while (b < batch.length) {
-        val row  = batch(b)
+      var off = from * w
+      while (off < until * w) {
         var prev = m
         var i    = 0
         while (i < pivotCols.length) {
-          val o = pg.owner(row(pivotCols(i)))
-          if (o != prev) { metrics.bytesPushed.addAndGet(Kernels.rowBytes(row)); prev = o }
+          val o = pg.owner(batch.data(off + pivotCols(i)))
+          if (o != prev) { metrics.bytesPushed.addAndGet(4L * w); prev = o }
           i += 1
         }
-        b += 1
+        off += w
       }
-      return intersectStage(kernel, batch, v => pg.serveNbrs(v))
+      return intersectStage(qi, batch, from, until, v => pg.serveNbrs(v))
     }
 
     if (cache.twoStage) {
       // ---- fetch stage (single writer: this scheduler thread) ----
       val tf = System.nanoTime()
-      val remote = new Kernels.IntSet(batch.length)
-      var b = 0
-      while (b < batch.length) {
-        val row = batch(b)
+      val remote = new Kernels.IntSet(until - from)
+      var off = from * w
+      while (off < until * w) {
         var i = 0
         while (i < pivotCols.length) {
-          val v = row(pivotCols(i))
+          val v = batch.data(off + pivotCols(i))
           if (cfg.externalStore || pg.owner(v) != m) remote.add(v)
           i += 1
         }
-        b += 1
+        off += w
       }
       // Seal the cached vertices; compact the misses to the front.
       val fetch  = remote.toArray
@@ -526,14 +522,14 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
       metrics.fetchNanos.addAndGet(System.nanoTime() - tf)
 
       // ---- intersect stage (workers, lock-free reads) ----
-      val out = intersectStage(kernel, batch, { v =>
+      val out = intersectStage(qi, batch, from, until, { v =>
         if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m) else cache.get(v)
       })
       cache.release()
       out
     } else {
       // Per-access mode (Cncr-LRU / BENU): fetch inside the intersection.
-      intersectStage(kernel, batch, { v =>
+      intersectStage(qi, batch, from, until, { v =>
         if (!cfg.externalStore && pg.owner(v) == m) pg.localNbrs(v, m)
         else {
           var ns = cache.get(v)
@@ -552,28 +548,28 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     }
   }
 
-  /** Run the extend kernel over the batch on the worker pool. Each worker
-    * keeps its own output buffer and scratch; a counting kernel adds each
-    * chunk's survivors to the result count instead of building rows.
+  /** Run extend qi's kernel over rows `from until until` of `batch` on the
+    * worker pool. Each worker appends to its own output buffer with its own
+    * scratch; a counting kernel adds each chunk's survivors to the result
+    * count instead. Returns the outputs in worker order, in worker 0's buffer.
     */
-  private def intersectStage(kernel: Kernels.ExtendKernel, batch: Array[Array[Int]],
-                             nbrs: Kernels.NbrSource): ArrayBuffer[Array[Int]] = {
-    val outs = Array.fill(cfg.workersPerMachine)(new ArrayBuffer[Array[Int]]())
-    pool.run(batch.length, cfg.chunkSize) { (w, from, until) =>
-      val s   = scratch(w)
-      val out = outs(w)
-      var n   = 0L
-      var i   = from
-      while (i < until && !isAborted() && System.nanoTime() <= deadlineNanos) {
-        n += kernel(batch(i), nbrs, s, out)
+  private def intersectStage(qi: Int, batch: Rows, from: Int, until: Int,
+                             nbrs: Kernels.NbrSource): Rows = {
+    val kernel = kernels(qi)
+    val out    = outs(qi)
+    out.foreach(_.clear())
+    pool.run(until - from, cfg.chunkSize) { (w, a, b) =>
+      val s = scratch(w)
+      var n = 0L
+      var i = from + a
+      while (i < from + b && !isAborted() && System.nanoTime() <= deadlineNanos) {
+        n += kernel(batch.data, i * batch.width, nbrs, s, out(w))
         i += 1
       }
       if (kernel.countOnly) metrics.results.addAndGet(n)
     }
-    if (kernel.countOnly) return ArrayBuffer.empty
-    val total = new ArrayBuffer[Array[Int]](outs.iterator.map(_.length).sum)
-    outs.foreach(total ++= _)
-    total
+    for (o <- out.tail) out(0).add(o.data, 0, o.n)
+    out(0)
   }
 
   // ---- inter-machine StealWork (§5.3) --------------------------------------
@@ -590,8 +586,8 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
           if (batch != null) {
             metrics.stealsInter.incrementAndGet()
             metrics.rpcs.incrementAndGet() // the StealWork RPC
-            metrics.stolenBytes.addAndGet(Kernels.batchBytes(batch, victim.queues(qi).rowWidth))
-            pipelineFrom(qi, batch)
+            metrics.stolenBytes.addAndGet(batch.bytes)
+            pipelineFrom(qi, batch, 0, batch.n)
             return true
           }
           qi += 1
@@ -601,13 +597,13 @@ final class MachineRunner(val m: Int, stage: Stage, board: StageBoard,
     false
   }
 
-  /** Depth-first local pipeline for stolen batches: run ops qi..e-1 with
-    * bounded sub-batches (no queues involved).
+  /** Depth-first local pipeline for stolen rows `from until until` of
+    * `batch`: run ops qi..e-1 with bounded sub-batches (no queues involved).
     */
-  def pipelineFrom(qi: Int, batch: Array[Array[Int]]): Unit = {
+  private def pipelineFrom(qi: Int, batch: Rows, from: Int, until: Int): Unit = {
     if (isAborted()) return
-    processExtendBatch(qi, batch, { out =>
-      if (qi + 1 < e) out.grouped(cfg.batchSize).foreach(g => pipelineFrom(qi + 1, g.toArray))
+    processExtendBatch(qi, batch, from, until, { out =>
+      if (qi + 1 < e) batches(out.n)((a, b) => pipelineFrom(qi + 1, out, a, b))
       else if (!kernels(qi).countOnly) sinkRows(out)
     })
   }

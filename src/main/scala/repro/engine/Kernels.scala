@@ -3,31 +3,70 @@ package repro.engine
 import java.nio.{ByteBuffer, ByteOrder}
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, StandardOpenOption}
-import repro.core.{Op, PullExtend, PushJoin, SimpleExec}
-import scala.collection.mutable.ArrayBuffer
+import repro.core.{Op, PullExtend, PushJoin}
 
-/** Shared row-level helpers for the runtime engine. Rows are `Array[Int]`
-  * in the producing operator's `matched` column order; 4 bytes per id.
+/** The engine's one row format: `n` partial results of `width` ids each,
+  * packed row after row in `data` (row i starts at `i * width`), in the
+  * producing operator's `matched` column order; 4 bytes per id. Appends
+  * grow `data` by doubling, the format's one growth policy.
   */
+final class Rows(val width: Int) {
+  var data: Array[Int] = Array.emptyIntArray
+  var n: Int           = 0
+
+  def bytes: Long = 4L * n * width
+  def clear(): Unit = n = 0
+
+  private def reserve(rows: Int): Unit = {
+    val need = (n + rows).toLong * width
+    if (need > data.length) {
+      val grown = math.max(need, math.min(2L * data.length, Int.MaxValue - 8L))
+      data = java.util.Arrays.copyOf(data, Math.toIntExact(grown))
+    }
+  }
+
+  /** Add a row whose columns the caller writes; returns its offset. */
+  def append(): Int = {
+    reserve(1)
+    n += 1
+    (n - 1) * width
+  }
+
+  /** Append the `rows` rows at `src(off ..)`. */
+  def add(src: Array[Int], off: Int, rows: Int = 1): Unit = {
+    reserve(rows)
+    System.arraycopy(src, off, data, n * width, rows * width)
+    n += rows
+  }
+
+  /** Append the `width - 1` ids at `src(off ..)` followed by `v`. */
+  def addExtended(src: Array[Int], off: Int, v: Int): Unit = {
+    val o = append()
+    System.arraycopy(src, off, data, o, width - 1)
+    data(o + width - 1) = v
+  }
+
+  /** A copy of rows `from until until`. */
+  def slice(from: Int, until: Int): Rows = {
+    val r = new Rows(width)
+    r.add(data, from * width, until - from)
+    r
+  }
+}
+
+/** Shared kernels of the runtime engine, over [[Rows]]-format rows. */
 object Kernels {
-  def rowBytes(row: Array[Int]): Long = 4L * row.length
-  /** Bytes of a batch whose rows all have `rowWidth` columns (every row of a
-    * batch comes from the same operator).
-    */
-  def batchBytes(batch: Array[Array[Int]], rowWidth: Int): Long = 4L * batch.length * rowWidth
-
-  def condsOk(op: Op, row: Array[Int]): Boolean = SimpleExec.condsOk(op, row)
-
   /** Precompute an operator's symmetry conditions as column-index pairs so
     * the hot loops never do Vector.indexOf per row.
     */
   def condCols(op: Op): Array[Array[Int]] =
     op.conds.map { case (a, b) => Array(op.col(a), op.col(b)) }.toArray
 
-  def condsOkFast(cc: Array[Array[Int]], row: Array[Int]): Boolean = {
+  /** Whether the row at `row(off ..)` satisfies the conditions `cc`. */
+  def condsOkFast(cc: Array[Array[Int]], row: Array[Int], off: Int): Boolean = {
     var i = 0
     while (i < cc.length) {
-      if (row(cc(i)(0)) >= row(cc(i)(1))) return false
+      if (row(off + cc(i)(0)) >= row(off + cc(i)(1))) return false
       i += 1
     }
     true
@@ -152,34 +191,35 @@ object Kernels {
     private val hiCols: Array[Int] =
       if (ex.verify) Array.empty else ex.conds.collect { case (t, b) if t == ex.target => ex.input.col(b) }.toArray
 
-    /** Extend one input row and return the number of surviving rows; they
-      * are appended to `out` unless the kernel only counts.
+    /** Extend the input row at `in(off ..)` and return the number of
+      * surviving rows; they are appended to `out` unless the kernel only
+      * counts. A verify extend appends the input row itself.
       */
-    def apply(row: Array[Int], nbrs: NbrSource, s: Scratch, out: ArrayBuffer[Array[Int]]): Int = {
+    def apply(in: Array[Int], off: Int, nbrs: NbrSource, s: Scratch, out: Rows): Int = {
       var i = 0
       while (i < pivotCols.length) {
-        val ns = nbrs(row(pivotCols(i)))
+        val ns = nbrs(in(off + pivotCols(i)))
         if (ns == null || ns.length == 0) return 0
         s.lists(i) = ns
         i += 1
       }
       if (ex.verify) {
-        if (!condsOkFast(verifyConds, row)) return 0
-        val t = row(targetCol)
+        if (!condsOkFast(verifyConds, in, off)) return 0
+        val t = in(off + targetCol)
         i = 0
         while (i < pivotCols.length) {
           if (java.util.Arrays.binarySearch(s.lists(i), t) < 0) return 0
           i += 1
         }
-        if (!countOnly) out += row
+        if (!countOnly) out.add(in, off)
         1
       } else {
         var lo = Int.MinValue
         var hi = Int.MaxValue
         i = 0
-        while (i < loCols.length) { lo = math.max(lo, row(loCols(i))); i += 1 }
+        while (i < loCols.length) { lo = math.max(lo, in(off + loCols(i))); i += 1 }
         i = 0
-        while (i < hiCols.length) { hi = math.min(hi, row(hiCols(i))); i += 1 }
+        while (i < hiCols.length) { hi = math.min(hi, in(off + hiCols(i))); i += 1 }
         intersectWindow(s, pivotCols.length, lo, hi)
         val cands = s.cands
         var ci    = s.candFrom
@@ -188,14 +228,10 @@ object Kernels {
           val v = cands(ci)
           var distinct = true
           var p = 0
-          while (distinct && p < width) { if (row(p) == v) distinct = false; p += 1 }
+          while (distinct && p < width) { if (in(off + p) == v) distinct = false; p += 1 }
           if (distinct) {
             n += 1
-            if (!countOnly) {
-              val nr = java.util.Arrays.copyOf(row, width + 1)
-              nr(width) = v
-              out += nr
-            }
+            if (!countOnly) out.addExtended(in, off, v)
           }
           ci += 1
         }
@@ -439,7 +475,7 @@ object Kernels {
     * injectivity) and the join's symmetry conditions hold. The kernel holds
     * one key group of right rows ([[setRight]]) and checks a left row against
     * all of them at once ([[countLeft]]). A joined row, the left row followed
-    * by the right row's extra columns, is built only for a pair that passed.
+    * by the right row's extra columns, is appended only for a pair that passed.
     *
     * Every partial result is injective, so a right row's extra values never
     * equal its key values, which are the left row's: only the left row's
@@ -451,7 +487,6 @@ object Kernels {
   final class PairJoin(j: PushJoin) {
     val leftWidth: Int  = j.left.matched.length
     val rightWidth: Int = j.right.matched.length
-    val width: Int      = j.matched.length
     private val rExtraCols: Array[Int] = j.right.matched.zipWithIndex
       .collect { case (v, i) if !j.left.matched.contains(v) => i }.toArray
     private val lFreeCols: Array[Int] = j.left.matched.zipWithIndex
@@ -545,23 +580,23 @@ object Kernels {
     /** Whether right row `j` passed the last [[countLeft]]. */
     def passed(j: Int): Boolean = pass(j) != 0
 
-    /** The joined row of the left row at `l(lOff ..)` and the right row at `r(rOff ..)`. */
-    def build(l: Array[Int], lOff: Int, r: Array[Int], rOff: Int): Array[Int] = {
-      val row = new Array[Int](width)
-      System.arraycopy(l, lOff, row, 0, leftWidth)
+    /** Append to `out` the joined row of the left row at `l(lOff ..)` and
+      * the right row at `r(rOff ..)`.
+      */
+    def appendJoined(l: Array[Int], lOff: Int, r: Array[Int], rOff: Int, out: Rows): Unit = {
+      val o = out.append()
+      System.arraycopy(l, lOff, out.data, o, leftWidth)
       var i = 0
-      while (i < rExtraCols.length) { row(leftWidth + i) = r(rOff + rExtraCols(i)); i += 1 }
-      row
+      while (i < rExtraCols.length) { out.data(o + leftWidth + i) = r(rOff + rExtraCols(i)); i += 1 }
     }
   }
 }
 
 /** One side of a buffered distributed hash join (§4.3) on one machine.
   *
-  * Producers append blocks of flat rows (stride `rowWidth`) to one growable
-  * array. When it holds `spillThresholdRows` rows they are radix-sorted by
-  * join key and written to disk as a run ("external merge sort via the join
-  * keys"). [[merged]] sorts the in-memory rest and merges it with all runs
+  * Producers append blocks of rows to one [[Rows]] buffer. When it holds
+  * `spillThresholdRows` rows they are radix-sorted by join key and written
+  * to disk as a run ("external merge sort via the join keys"). [[merged]] sorts the in-memory rest and merges it with all runs
   * into one key-ordered stream; runs are read back block by block, so the
   * merge's memory stays bounded whatever the input size. A run's file is
   * deleted once it has been read; [[clear]] deletes the rest.
@@ -569,13 +604,11 @@ object Kernels {
 final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRows: Int,
                            machine: Int, metrics: Metrics) {
   private val threshold = math.max(1, spillThresholdRows)
-  private val maxInts   = math.min(threshold.toLong * rowWidth, Int.MaxValue - 8L).toInt
-  private var mem       = new Array[Int](math.min(maxInts, 1024 * rowWidth))
-  private var memRows   = 0
+  private val mem       = new Rows(rowWidth)
   private var scratch   = Array.emptyIntArray
   private var counts: Array[Int] = null
-  private val runs      = new ArrayBuffer[Path]()
-  private val cursors   = new ArrayBuffer[Kernels.RunCursor]()
+  private var runs      = Vector.empty[Path]
+  private var cursors   = Array.empty[Kernels.RunCursor]
   private var total     = 0L
 
   /** Append the first `n` rows of `src`, spilling each time the buffer
@@ -584,15 +617,11 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
   def add(src: Array[Int], n: Int): Unit = this.synchronized {
     var done = 0
     while (done < n) {
-      val take = math.min(n - done, threshold - memRows)
-      val need = (memRows + take) * rowWidth
-      if (mem.length < need)
-        mem = java.util.Arrays.copyOf(mem, math.max(need, math.min(maxInts.toLong, 2L * mem.length).toInt))
-      System.arraycopy(src, done * rowWidth, mem, memRows * rowWidth, take * rowWidth)
-      memRows += take
+      val take = math.min(n - done, threshold - mem.n)
+      mem.add(src, done * rowWidth, take)
       done += take
       metrics.memAdd(machine, 4L * rowWidth * take)
-      if (memRows >= threshold) spill()
+      if (mem.n >= threshold) spill()
     }
     total += n
   }
@@ -603,20 +632,20 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
   private[engine] def runFiles: Seq[Path] = this.synchronized(runs.filter(Files.exists(_)).toSeq)
 
   /** Sort the in-memory rows; afterwards `mem` holds them in key order. */
-  private def sortMem(): Unit = if (memRows > 1) {
-    if (scratch.length < memRows * rowWidth) scratch = new Array[Int](mem.length)
+  private def sortMem(): Unit = if (mem.n > 1) {
+    if (scratch.length < mem.n * rowWidth) scratch = new Array[Int](mem.data.length)
     if (counts == null) counts = new Array[Int](Kernels.RadixBuckets)
-    val sorted = Kernels.radixSortRows(mem, scratch, memRows, rowWidth, keyCols, counts)
-    if (sorted ne mem) { scratch = mem; mem = sorted }
+    val sorted = Kernels.radixSortRows(mem.data, scratch, mem.n, rowWidth, keyCols, counts)
+    if (sorted ne mem.data) { scratch = mem.data; mem.data = sorted }
   }
 
   private def spill(): Unit = {
     sortMem()
     val f  = Files.createTempFile(s"huge-join-m$machine-", ".run")
-    runs += f
+    runs :+= f
     val ch = FileChannel.open(f, StandardOpenOption.WRITE, StandardOpenOption.TRUNCATE_EXISTING)
     try {
-      val ints  = memRows * rowWidth
+      val ints  = mem.n * rowWidth
       val bytes = ByteBuffer.allocate(4 * math.min(ints, Kernels.RunCursor.BlockInts * 4))
                             .order(ByteOrder.nativeOrder())
       val block = bytes.capacity >> 2
@@ -624,15 +653,15 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
       while (off < ints) {
         val len = math.min(block, ints - off)
         bytes.clear()
-        bytes.asIntBuffer().put(mem, off, len)
+        bytes.asIntBuffer().put(mem.data, off, len)
         bytes.limit(4 * len)
         while (bytes.hasRemaining) ch.write(bytes)
         off += len
       }
     } finally ch.close()
-    metrics.spilledBytes.addAndGet(4L * rowWidth * memRows)
-    metrics.memAdd(machine, -4L * rowWidth * memRows)
-    memRows = 0
+    metrics.spilledBytes.addAndGet(mem.bytes)
+    metrics.memAdd(machine, -mem.bytes)
+    mem.clear()
   }
 
   /** Key-ordered merge of all buffered rows (memory + spilled runs). Call
@@ -640,53 +669,38 @@ final class JoinSideBuffer(rowWidth: Int, keyCols: Array[Int], spillThresholdRow
     */
   def merged(): Kernels.RowMerge = this.synchronized {
     sortMem()
-    cursors += Kernels.RunCursor.inMemory(mem, memRows, rowWidth)
-    runs.foreach(f => cursors += Kernels.RunCursor.onFile(f, rowWidth))
-    new Kernels.RowMerge(rowWidth, keyCols, cursors.toArray)
+    cursors = Kernels.RunCursor.inMemory(mem.data, mem.n, rowWidth) +:
+                runs.map(Kernels.RunCursor.onFile(_, rowWidth)).toArray
+    new Kernels.RowMerge(rowWidth, keyCols, cursors)
   }
 
   /** Release the rows and delete every remaining run file; idempotent. */
   def clear(): Unit = this.synchronized {
-    metrics.memAdd(machine, -4L * rowWidth * memRows)
-    memRows = 0
-    mem = Array.emptyIntArray
+    metrics.memAdd(machine, -mem.bytes)
+    mem.clear()
+    mem.data = Array.emptyIntArray
     scratch = Array.emptyIntArray
     counts = null
     cursors.foreach(_.close())
-    cursors.clear()
+    cursors = Array.empty
     runs.foreach(Files.deleteIfExists(_))
-    runs.clear()
+    runs = Vector.empty
   }
 }
 
 /** One machine's merge join of its two side buffers, one key group at a
-  * time. Each group is copied into a flat buffer per side; the pairs of a
-  * group are then either counted or built into rows, resuming where the
+  * time. Each group is copied into a [[Rows]] buffer per side; the pairs of
+  * a group are then either counted or appended as rows, resuming where the
   * last call stopped. `pairKernels` holds one kernel per worker (a kernel
   * hoists its current left row); kernel 0 also serves the calling thread.
   */
 final class MergeJoin(pairKernels: Array[Kernels.PairJoin], left: Kernels.RowMerge, leftKeys: Array[Int],
                       right: Kernels.RowMerge, rightKeys: Array[Int]) {
-  /** One side's rows of the current key: `n` rows of stride `w` in `rows`. */
-  private final class Group(w: Int, m: Kernels.RowMerge, keys: Array[Int]) {
-    var rows = new Array[Int](64 * w)
-    var n    = 0
-    /** Move the merge's rows sharing its head row's key into the group. */
-    def load(): Unit = {
-      n = 0
-      while (m.nonEmpty && (n == 0 || Kernels.keyCompare(m.buf, m.pos, keys, rows, 0, keys) == 0)) {
-        if (rows.length < (n + 1) * w) rows = java.util.Arrays.copyOf(rows, 2 * rows.length)
-        System.arraycopy(m.buf, m.pos, rows, n * w, w)
-        n += 1
-        m.advance()
-      }
-    }
-  }
-
   private val lw = pairKernels(0).leftWidth
   private val rw = pairKernels(0).rightWidth
-  private val lg = new Group(lw, left, leftKeys)
-  private val rg = new Group(rw, right, rightKeys)
+  // Each side's rows of the current key.
+  private val lg = new Rows(lw)
+  private val rg = new Rows(rw)
   // The next pair of the current group to try: left row a, right row b.
   private var a = 0
   private var b = 0
@@ -698,22 +712,29 @@ final class MergeJoin(pairKernels: Array[Kernels.PairJoin], left: Kernels.RowMer
   /** Worker w's kernel, holding the current right group. */
   private def kernel(w: Int): Kernels.PairJoin = {
     val k = pairKernels(w)
-    if (rightLoaded(w) != groupId) { k.setRight(rg.rows, rg.n); rightLoaded(w) = groupId }
+    if (rightLoaded(w) != groupId) { k.setRight(rg.data, rg.n); rightLoaded(w) = groupId }
     k
   }
 
   /** Load the next key present on both sides; false when none is left. */
   def nextGroup(): Boolean = {
-    lg.n = 0; rg.n = 0; a = 0; b = 0
+    lg.clear(); rg.clear(); a = 0; b = 0
     groupId += 1
     while (left.nonEmpty && right.nonEmpty) {
       val c = Kernels.keyCompare(left.buf, left.pos, leftKeys, right.buf, right.pos, rightKeys)
       if (c < 0) left.advance()
       else if (c > 0) right.advance()
-      else { lg.load(); rg.load(); return true }
+      else { load(lg, left, leftKeys); load(rg, right, rightKeys); return true }
     }
     false
   }
+
+  /** Move the merge's rows sharing its head row's key into `g`. */
+  private def load(g: Rows, m: Kernels.RowMerge, keys: Array[Int]): Unit =
+    while (m.nonEmpty && (g.n == 0 || Kernels.keyCompare(m.buf, m.pos, keys, g.data, 0, keys) == 0)) {
+      g.add(m.buf, m.pos)
+      m.advance()
+    }
 
   def leftRows: Int    = lg.n
   def rightRows: Int   = rg.n
@@ -729,7 +750,7 @@ final class MergeJoin(pairKernels: Array[Kernels.PairJoin], left: Kernels.RowMer
     val k = kernel(w)
     var n = 0L
     var i = from
-    while (i < until) { n += k.countLeft(lg.rows, i * lw); i += 1 }
+    while (i < until) { n += k.countLeft(lg.data, i * lw); i += 1 }
     n
   }
 
@@ -737,17 +758,17 @@ final class MergeJoin(pairKernels: Array[Kernels.PairJoin], left: Kernels.RowMer
     * (then returns false). `stop` is asked before each new key group; when it
     * says so the call returns early with true.
     */
-  def fill(out: ArrayBuffer[Array[Int]], max: Int, stop: () => Boolean): Boolean = {
-    while (out.length < max) {
+  def fill(out: Rows, max: Int, stop: () => Boolean): Boolean = {
+    while (out.n < max) {
       if (a >= lg.n) {
         if (stop()) return true
         if (!nextGroup()) return false
       } else {
         val k  = kernel(0)
         val lo = a * lw
-        if (b == 0) k.countLeft(lg.rows, lo)
-        while (b < rg.n && out.length < max) {
-          if (k.passed(b)) out += k.build(lg.rows, lo, rg.rows, b * rw)
+        if (b == 0) k.countLeft(lg.data, lo)
+        while (b < rg.n && out.n < max) {
+          if (k.passed(b)) k.appendJoined(lg.data, lo, rg.data, b * rw, out)
           b += 1
         }
         if (b >= rg.n) { b = 0; a += 1 }

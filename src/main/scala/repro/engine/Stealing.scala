@@ -82,21 +82,22 @@ final class BatchQueue(capacityRows0: Long, val rowWidth: Int, machine: Int, met
     * queue still accepts the overflow of the producing batch (§5.2).
     */
   val capacityRows: Long = math.max(1L, capacityRows0)
-  private val q = new java.util.ArrayDeque[Array[Array[Int]]]()
+  private val q = new java.util.ArrayDeque[Rows]()
   private var rowCount: Long = 0L
 
-  def enqueue(batch: Array[Array[Int]]): Unit = if (batch.nonEmpty) {
-    require(batch(0).length == rowWidth, s"row width ${batch(0).length}, queue holds $rowWidth")
-    this.synchronized {
+  /** Queue a batch; the queue owns it from now on. */
+  def enqueue(batch: Rows): Unit = {
+    require(batch.width == rowWidth, s"row width ${batch.width}, queue holds $rowWidth")
+    if (batch.n > 0) this.synchronized {
       q.addLast(batch)
-      rowCount += batch.length
-      metrics.memAdd(machine, Kernels.batchBytes(batch, rowWidth))
+      rowCount += batch.n
+      metrics.memAdd(machine, batch.bytes)
     }
   }
 
-  def tryDequeue(): Array[Array[Int]] = this.synchronized {
+  def tryDequeue(): Rows = this.synchronized {
     val b = q.pollFirst()
-    if (b != null) { rowCount -= b.length; metrics.memAdd(machine, -Kernels.batchBytes(b, rowWidth)) }
+    if (b != null) { rowCount -= b.n; metrics.memAdd(machine, -b.bytes) }
     b
   }
 

@@ -51,7 +51,6 @@ class DataflowSpec extends AnyFunSuite {
     }
 
   test("ScanEdge emits both directions minus symmetry-broken half") {
-    val q  = QueryGraph(2, Seq((0, 1)))
     val g  = TestGraphs.pl
     val op = ScanEdge(0, 1, Vector.empty)
     assert(SimpleExec.count(op, g) == 2 * g.numEdges)

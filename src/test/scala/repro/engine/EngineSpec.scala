@@ -202,6 +202,25 @@ class EngineSpec extends AnyFunSuite {
       if (t == 1 && joins) assert(m.spilledBytes.get > 0, "a run per row spills")
     }
 
+  // A join side's row is produced on the machine owning its first vertex
+  // (the scanned edge's source, as no machine steals) and pushed, 4 bytes
+  // per id, iff its join key routes it to another machine.
+  for ((qn, q) <- Seq("q7" -> Queries.q7, "q8" -> Queries.q8); k <- Seq(2, 3))
+    test(s"pushed bytes are exactly the join-side rows routed off their machine: $qn on pl, k=$k") {
+      val cfg  = base(k).copy(interStealing = false)
+      val j    = dataflow(q, hugePlan(k)(q)).asInstanceOf[PushJoin]
+      val pg   = new PartitionedGraph(TestGraphs.pl, k)
+      val spec = new JoinSpec(j, cfg, new Metrics(k))
+      val pushed = Seq(j.left, j.right).zipWithIndex.map { case (side, s) =>
+        assert(!side.sequence.exists(_.isInstanceOf[PushJoin]), "each side starts at a scan")
+        val routedOff = SimpleExec.run(side, TestGraphs.pl).count(row => spec.route(row, 0, s) != pg.owner(row(0)))
+        4L * side.matched.length * routedOff
+      }.sum
+      val m = hugeRun(q, TestGraphs.pl, cfg)
+      assert(m.results.get == expected(q, TestGraphs.pl))
+      assert(pushed > 0 && m.bytesPushed.get == pushed, s"pushed ${m.bytesPushed.get}, expected $pushed")
+    }
+
   test("a time-limited PUSH-JOIN run returns a partial count and holds no rows") {
     val m = hugeRun(Queries.q7, TestGraphs.pl, base().copy(timeLimitSec = 0.0, spillThresholdRows = 16))
     assert(m.results.get <= expected(Queries.q7, TestGraphs.pl))

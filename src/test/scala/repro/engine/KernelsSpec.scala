@@ -3,7 +3,6 @@ package repro.engine
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.graph.{Intersect, Queries, TestGraphs}
-import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** The engine's extend kernel against the reference intersection: random
@@ -74,15 +73,24 @@ class KernelsSpec extends AnyFunSuite {
       v -> (if (must >= 0 && r.nextBoolean()) (l :+ must).distinct.sorted else l)
     }.toMap
 
-  private def run(k: Kernels.ExtendKernel, row: Array[Int], lists: Map[Int, Array[Int]],
-                  s: Kernels.Scratch): (Int, ArrayBuffer[Array[Int]]) = {
-    val out = new ArrayBuffer[Array[Int]]()
-    val n   = k(row, v => lists(v), s, out)
+  /** Each row of `rows`, as a vector. */
+  private def rowsOf(rows: Rows): Vector[Vector[Int]] =
+    Vector.tabulate(rows.n)(i => rows.data.slice(i * rows.width, (i + 1) * rows.width).toVector)
+
+  /** Run the kernel on `row`, placed behind 0-2 random rows of its batch
+    * (drawn from `offsets`, so the cases stay those of the seed).
+    */
+  private def run(offsets: Random, k: Kernels.ExtendKernel, row: Array[Int], lists: Map[Int, Array[Int]],
+                  s: Kernels.Scratch): (Int, Rows) = {
+    val off = offsets.nextInt(3) * row.length
+    val out = new Rows(k.ex.matched.length)
+    val n   = k(Array.fill(off)(offsets.nextInt(Universe)) ++ row, off, v => lists(v), s, out)
     (n, out)
   }
 
   test("extend kernel keeps exactly the windowed, injective candidates; count-only agrees") {
     val r = new Random(2)
+    val o = new Random(12)
     val s = new Kernels.Scratch(3)
     val allConds = for (x <- 0 to 2; c <- Seq((x, 3), (3, x))) yield c
     var survivors = 0L
@@ -95,12 +103,12 @@ class KernelsSpec extends AnyFunSuite {
       val lists  = listsFor(r, row).map { case (v, l) => v -> (l ++ row.filter(_ => r.nextBoolean())).distinct.sorted }
       val expected = Intersect.sortedMany(pivots.map(p => lists(row(p))))
         .filter(v => !row.contains(v) && SimpleExec.condsOk(ex, row :+ v)).toVector
-      val (n, out) = run(new Kernels.ExtendKernel(ex, countOnly = false), row, lists, s)
-      assert(n == expected.length && out.map(_.last).toVector == expected,
+      val (n, out) = run(o, new Kernels.ExtendKernel(ex, countOnly = false), row, lists, s)
+      assert(n == expected.length && rowsOf(out).map(_.last) == expected,
         s"case $c: row ${row.toVector} pivots $pivots conds $conds")
-      assert(out.forall(o => o.length == 4 && o.take(3).sameElements(row)))
-      val (cn, cout) = run(new Kernels.ExtendKernel(ex, countOnly = true), row, lists, s)
-      assert(cn == expected.length && cout.isEmpty, s"case $c (count-only)")
+      assert(out.width == 4 && rowsOf(out).forall(_.take(3) == row.toVector))
+      val (cn, cout) = run(o, new Kernels.ExtendKernel(ex, countOnly = true), row, lists, s)
+      assert(cn == expected.length && cout.n == 0, s"case $c (count-only)")
       survivors += n
     }
     assert(survivors > 1000, s"only $survivors survivors: the cases are too sparse")
@@ -108,6 +116,7 @@ class KernelsSpec extends AnyFunSuite {
 
   test("verify extend tests membership exactly as intersect-then-binary-search") {
     val r = new Random(3)
+    val o = new Random(13)
     val s = new Kernels.Scratch(2)
     val pairs = for (a <- 0 to 2; b <- 0 to 2 if a != b) yield (a, b)
     var kept = 0
@@ -122,9 +131,9 @@ class KernelsSpec extends AnyFunSuite {
       val cands  = Intersect.sortedMany(pivots.map(p => lists(row(p))))
       val keep   = java.util.Arrays.binarySearch(cands, row(target)) >= 0 && SimpleExec.condsOk(ex, row)
       for (countOnly <- Seq(false, true)) {
-        val (n, out) = run(new Kernels.ExtendKernel(ex, countOnly), row, lists, s)
+        val (n, out) = run(o, new Kernels.ExtendKernel(ex, countOnly), row, lists, s)
         assert(n == (if (keep) 1 else 0), s"case $c: row ${row.toVector} pivots $pivots conds $conds")
-        assert(out.length == (if (keep && !countOnly) 1 else 0) && out.forall(_ eq row))
+        assert(out.n == (if (keep && !countOnly) 1 else 0) && rowsOf(out).forall(_ == row.toVector))
       }
       if (keep) kept += 1
     }
@@ -143,11 +152,14 @@ class KernelsSpec extends AnyFunSuite {
   test("batch bytes are 4 per id; a queue rejects rows of another width") {
     val metrics = new Metrics(1, NetworkModel())
     val q       = new BatchQueue(10, 3, 0, metrics)
-    val batch   = Array.fill(5)(Array(1, 2, 3))
-    assert(Kernels.batchBytes(batch, 3) == 60)
+    val batch   = new Rows(3)
+    for (_ <- 0 until 5) batch.add(Array(1, 2, 3), 0)
+    assert(batch.bytes == 60)
     q.enqueue(batch)
     assert(q.rows == 5 && metrics.peakMemoryBytes == 60)
-    intercept[IllegalArgumentException](q.enqueue(Array(Array(1, 2))))
+    val narrow = new Rows(2)
+    narrow.add(Array(1, 2), 0)
+    intercept[IllegalArgumentException](q.enqueue(narrow))
   }
 
   // ---- PUSH-JOIN over flat rows ---------------------------------------------
@@ -251,7 +263,9 @@ class KernelsSpec extends AnyFunSuite {
         val row = l ++ extras.map(v => rr(right.col(v)))
         val ok  = !extras.exists(v => l.contains(rr(right.col(v)))) && SimpleExec.condsOk(j, row)
         assert(pairs.passed(i) == ok, s"case $c: ${l.toVector} ${rr.toVector} conds $conds")
-        assert(pairs.build(lBuf, lOff, rr, 0).toVector == row.toVector)
+        val built = new Rows(j.matched.length)
+        pairs.appendJoined(lBuf, lOff, rr, 0, built)
+        assert(rowsOf(built) == Vector(row.toVector))
         if (ok) joined += 1 else rejected += 1
       }
       assert(n == (0 until group.size).count(pairs.passed), s"case $c")
@@ -278,9 +292,9 @@ class KernelsSpec extends AnyFunSuite {
       val expected = SimpleExec.run(j, g).map(_.toVector).sorted(byKey)
       val building = loaded()
       val mj       = building.mergeJoin(0)
-      val built    = ArrayBuffer.empty[Array[Int]]
-      while (mj.fill(built, built.length + 1000, () => false)) {}
-      assert(built.map(_.toVector).sorted(byKey) == expected, s"$gn $q threshold $threshold")
+      val built    = new Rows(j.matched.length)
+      while (mj.fill(built, built.n + 1000, () => false)) {}
+      assert(rowsOf(built).sorted(byKey) == expected, s"$gn $q threshold $threshold")
       building.clear()
       val counting = loaded()
       val cj = counting.mergeJoin(0)
@@ -342,7 +356,7 @@ class KernelsSpec extends AnyFunSuite {
         pool.run(1000, 10) { (_, from, _) => if (from == 500) throw new IllegalStateException("chunk 50") }
       }
       assert(e.getMessage == "chunk 50")
-      var rows = new java.util.concurrent.atomic.AtomicInteger
+      val rows = new java.util.concurrent.atomic.AtomicInteger
       pool.run(1000, 10) { (_, from, until) => rows.addAndGet(until - from) }
       assert(rows.get == 1000, "the pool still works after a failed batch")
     } finally pool.shutdown()
